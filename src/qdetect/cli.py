@@ -300,7 +300,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p_sim.add_argument(
-        "--workers", type=int, default=1, help="parallel samplers (default 1)"
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility, must be at least 1; never changes "
+        "the ensemble and starts no threads (default 1)",
     )
     p_sim.add_argument(
         "--csv-out",

@@ -6,16 +6,25 @@ clamped atom distribution. Because zero-probability atoms are exactly zero
 after clamping, statements like "a detecting pair never disagrees" hold
 exactly in every sample, not just statistically.
 
+An ensemble is stored in columns: `index` holds the atom index of each
+record and `table` the 0/1 outcome vector of each atom, one row per atom in
+the order of the distribution's atoms (lexicographic, first member most
+significant). Counts, the discordance audit and certification all work from
+the per-atom record counts and masks over the table; `records`, the
+per-record view, is only built when it is read.
+
 Sampling is counter-based: record i consumes the first draw of Philox
-counter block i, so any partition of the index range across workers
-reproduces the single-worker ensemble bit for bit.
+counter block i, so the ensemble depends only on (dist, n, seed). The draw
+is one vectorized call; the worker count is accepted for compatibility and
+never changes the ensemble or starts a thread.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
+import io
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
 from typing import Sequence
 
@@ -34,6 +43,9 @@ _WORDS_PER_BLOCK = 4
 # expected count is at least this large; below it absence is plausible noise.
 MIN_EXPECTED_COUNT = 10.0
 
+# Records formatted per write in Ensemble.to_csv; bounds the bytes held at once.
+_CSV_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SpecimenRecord:
@@ -43,25 +55,87 @@ class SpecimenRecord:
     outcomes: dict[str, int]
 
 
-@dataclass(frozen=True)
+def _atom_table(dist: JointDistribution) -> np.ndarray:
+    """The outcome vectors of the distribution's atoms, one row per atom."""
+    return np.array(list(dist.atoms), dtype=np.int64).reshape(-1, dist.n)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True, eq=False)
 class Ensemble:
-    """An ordered collection of specimen records for one measured family."""
+    """An ordered collection of specimen records for one measured family.
+
+    Record i has id i and the outcome vector `table[index[i]]`; `table`
+    holds 0/1 values only.
+    """
 
     rho_name: str
     seed: int
     family: tuple[str, ...]
-    records: tuple[SpecimenRecord, ...]
+    index: np.ndarray
+    table: np.ndarray
+
+    def __post_init__(self) -> None:
+        index = np.asarray(self.index)
+        table = np.asarray(self.table)
+        if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
+            raise ValidationError("ensemble index must be a 1-D integer array")
+        if table.ndim != 2 or table.shape[1] != len(self.family):
+            raise ValidationError(
+                f"atom table of shape {table.shape} does not match family size "
+                f"{len(self.family)}"
+            )
+        if not np.all((table == 0) | (table == 1)):
+            raise ValidationError("atom table entries must be 0 or 1")
+        if index.size and not (0 <= index.min() and index.max() < len(table)):
+            raise ValidationError("ensemble index points outside the atom table")
+        index = index.astype(np.intp, copy=False)
+        object.__setattr__(self, "index", _read_only(index))
+        object.__setattr__(self, "table", _read_only(table.astype(np.uint8)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Ensemble):
+            return NotImplemented
+        return (
+            self.rho_name == other.rho_name
+            and self.seed == other.seed
+            and self.family == other.family
+            and np.array_equal(self.index, other.index)
+            and np.array_equal(self.table, other.table)
+        )
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return int(self.index.size)
 
-    def count_outcome(self, name: str, bit: int) -> int:
+    @cached_property
+    def atom_counts(self) -> np.ndarray:
+        """Number of records in each atom, aligned with the rows of `table`."""
+        return _read_only(np.bincount(self.index, minlength=len(self.table)))
+
+    @cached_property
+    def records(self) -> tuple[SpecimenRecord, ...]:
+        """The per-record view, built on first access."""
+        rows = [dict(zip(self.family, row)) for row in self.table.tolist()]
+        return tuple(
+            SpecimenRecord(id=i, outcomes=dict(rows[a]))
+            for i, a in enumerate(self.index.tolist())
+        )
+
+    def _column(self, name: str) -> np.ndarray:
         if name not in self.family:
             raise UnknownObservableError(
                 f"{name!r} is not in the measured family {self.family}"
             )
-        return sum(1 for r in self.records if r.outcomes[name] == bit)
+        return self.table[:, self.family.index(name)]
+
+    def count_outcome(self, name: str, bit: int) -> int:
+        return int(self.atom_counts[self._column(name) == bit].sum())
 
     def count_atom(self, omega: Sequence[int]) -> int:
         key = tuple(int(w) for w in omega)
@@ -70,18 +144,37 @@ class Ensemble:
                 f"outcome vector length {len(key)} does not match family size "
                 f"{len(self.family)}"
             )
-        return sum(
-            1
-            for r in self.records
-            if tuple(r.outcomes[name] for name in self.family) == key
-        )
+        match = np.all(self.table == np.array(key, dtype=np.int64), axis=1)
+        return int(self.atom_counts[match].sum())
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["id", *self.family])
-            for r in self.records:
-                writer.writerow([r.id, *(r.outcomes[name] for name in self.family)])
+        """Write the header and one `id,b1,...,bk` row per record, CRLF-ended.
+
+        The bytes are those csv.writer writes for the same rows.
+        """
+        # The header goes through csv.writer, which quotes a family name when
+        # it must. A record row is its id's digits followed by its atom's
+        # fixed-width tail ",b1,...,bk\r\n"; rows whose ids have equal digit
+        # counts form a rectangular byte array.
+        header = io.StringIO()
+        csv.writer(header).writerow(["id", *self.family])
+        k = len(self.family)
+        tails = np.empty((len(self.table), 2 * k + 2), dtype=np.uint8)
+        tails[:, 0 : 2 * k : 2] = ord(",")
+        tails[:, 1 : 2 * k : 2] = self.table + ord("0")
+        tails[:, 2 * k :] = (ord("\r"), ord("\n"))
+        with open(path, "wb") as handle:
+            handle.write(header.getvalue().encode("utf-8"))
+            start = 0
+            while start < self.n:
+                width = len(str(start))
+                stop = min(self.n, start + _CSV_CHUNK, 10**width)
+                ids = np.arange(start, stop)[:, None]
+                scale = 10 ** np.arange(width - 1, -1, -1)
+                digits = (ids // scale % 10 + ord("0")).astype(np.uint8)
+                rows = np.hstack((digits, tails[self.index[start:stop]]))
+                handle.write(rows.tobytes())
+                start = stop
 
 
 def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -103,8 +196,9 @@ def sample_ensemble(
 ) -> Ensemble:
     """Draw n i.i.d. joint outcomes from the atom distribution.
 
-    The result depends only on (dist, n, seed); the worker count changes the
-    internal partitioning but never the records.
+    The result depends only on (dist, n, seed). `workers` must be at least 1
+    and is otherwise ignored: the draw is a single vectorized call, so the
+    worker count never changes the ensemble and starts no threads.
     """
     if n < 1:
         raise PreconditionError(f"ensemble size must be at least 1, got {n}")
@@ -114,38 +208,20 @@ def sample_ensemble(
         raise PreconditionError(f"seed must be a 64-bit unsigned integer, got {seed}")
     seed = int(seed)
 
-    keys = list(dist.atoms.keys())
-    probs = np.array([dist.atoms[k] for k in keys], dtype=np.float64)
-    cum = np.cumsum(probs)
+    cum = np.cumsum(np.fromiter(dist.atoms.values(), dtype=np.float64))
     if abs(cum[-1] - 1.0) > 1e-9:
         raise ValidationError(f"atom distribution sums to {cum[-1]!r}, not 1")
     # Close the last bin exactly so u ~ U[0,1) can never fall off the end.
     cum[-1] = 1.0
-
-    def draw(start: int, stop: int) -> np.ndarray:
-        u = _uniforms(seed, start, stop - start)
-        # side='right': u strictly below a bin edge picks that bin, so bins
-        # of width zero (clamped atoms) are unreachable.
-        return np.searchsorted(cum, u, side="right")
-
-    if workers == 1 or n < 2 * workers:
-        indices = draw(0, n)
-    else:
-        bounds = np.linspace(0, n, workers + 1, dtype=int)
-        chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ab: draw(*ab), chunks))
-        indices = np.concatenate(parts)
-
-    records = tuple(
-        SpecimenRecord(
-            id=i,
-            outcomes={name: int(bit) for name, bit in zip(dist.names, keys[idx])},
-        )
-        for i, idx in enumerate(indices)
-    )
+    # side='right': u strictly below a bin edge picks that bin, so bins of
+    # width zero (clamped atoms) are unreachable.
+    index = np.searchsorted(cum, _uniforms(seed, 0, n), side="right")
     return Ensemble(
-        rho_name=rho_name, seed=seed, family=dist.names, records=records
+        rho_name=rho_name,
+        seed=seed,
+        family=dist.names,
+        index=index,
+        table=_atom_table(dist),
     )
 
 
@@ -170,32 +246,26 @@ def check_support_statements(
         inputs={"n": ens.n, "seed": ens.seed, "z": float(z), "rho": ens.rho_name},
     )
     n = ens.n
-    # One pass over the records; every count below comes from this matrix.
-    outcome_rows = np.array(
-        [[r.outcomes.get(name, -1) for name in ens.family] for r in ens.records],
-        dtype=np.int64,
-    ).reshape(n, len(ens.family))
+    k = len(ens.family)
+    counts = ens.atom_counts
 
     for col, name in enumerate(ens.family):
-        column = outcome_rows[:, col]
-        well_formed = bool(np.all((column == 0) | (column == 1))) and all(
-            len(r.outcomes) == len(ens.family) for r in ens.records
-        )
-        split = int(np.sum(column == 1)) + int(np.sum(column == 0))
+        column = ens.table[:, col]
+        split = int(counts[(column == 0) | (column == 1)].sum())
         report.add(
             name=f"partition:{name}",
-            passed=well_formed and split == n,
+            passed=split == n,
             residual=float(n - split),
             ref="support:partition",
             detail="every specimen lies in exactly one extension",
         )
 
-    weights = 1 << np.arange(len(ens.family) - 1, -1, -1, dtype=np.int64)
-    codes = outcome_rows @ weights
-    atom_counts = np.bincount(
-        codes[(codes >= 0) & (codes < 2 ** len(ens.family))],
-        minlength=2 ** len(ens.family),
-    )
+    # Record counts keyed by outcome code, so the ensemble's atom order need
+    # not match the distribution's.
+    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
+    codes = ens.table.astype(np.int64) @ weights
+    atom_counts = np.zeros(2**k, dtype=np.int64)
+    np.add.at(atom_counts, codes, counts)
 
     for omega, p in dist.atoms.items():
         label = "".join(str(w) for w in omega)
@@ -227,17 +297,22 @@ def check_support_statements(
             detail=f"p={p!r} band={z * sigma:.3e}",
         )
 
-    for i in range(len(ens.family)):
-        for j in range(i + 1, len(ens.family)):
-            if dist.mass({i: 1, j: 1}) != 0.0:
+    # A pair's joint mass is zero exactly when no nonzero atom has both bits
+    # set: clamped atoms are >= 0, so a sum of them cannot cancel to zero.
+    massive = _atom_table(dist)[
+        np.fromiter(dist.atoms.values(), dtype=np.float64) != 0.0
+    ]
+    joint = massive.T @ massive
+    for i in range(k):
+        for j in range(i + 1, k):
+            if joint[i, j]:
                 continue
-            both = int(
-                np.sum((outcome_rows[:, i] == 1) & (outcome_rows[:, j] == 1))
-            )
+            both = (ens.table[:, i] == 1) & (ens.table[:, j] == 1)
+            co = int(counts[both].sum())
             report.add(
                 name=f"exclusive:{ens.family[i]}~{ens.family[j]}",
-                passed=both == 0,
-                residual=float(both),
+                passed=co == 0,
+                residual=float(co),
                 ref="support:exclusive",
                 detail="outcome-1 pair carries zero joint mass",
             )
@@ -252,16 +327,6 @@ def detection_frequency_audit(
     For a genuine detection pair the discordant count is exactly zero: the
     sampler never draws from the clamped zero-mass atoms.
     """
-    for name in (t_name, e_name):
-        if name not in ens.family:
-            raise UnknownObservableError(
-                f"{name!r} is not in the measured family {ens.family}"
-            )
-    discordant = 0
-    concordant = 0
-    for r in ens.records:
-        if r.outcomes[t_name] == r.outcomes[e_name]:
-            concordant += 1
-        else:
-            discordant += 1
-    return discordant, concordant
+    disagree = ens._column(t_name) != ens._column(e_name)
+    discordant = int(ens.atom_counts[disagree].sum())
+    return discordant, ens.n - discordant

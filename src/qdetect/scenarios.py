@@ -31,7 +31,7 @@ from .errors import (
     UnknownObservableError,
     ValidationError,
 )
-from .numerics import CMatrix, DEFAULT_TOL, Tolerance, kron, outer
+from .numerics import CMatrix, DEFAULT_TOL, MAX_DIM, Tolerance, kron, outer
 from .observables import (
     DensityOperator,
     PMObservable,
@@ -720,6 +720,8 @@ def load_scenario(path, tol: Tolerance = DEFAULT_TOL) -> Scenario:
     dim = doc["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ScenarioFormatError(f"dim must be a positive integer, got {dim!r}")
+    if dim > MAX_DIM:
+        raise DimensionError(f"dim {dim} exceeds the {MAX_DIM} limit")
 
     state_doc = doc["state"]
     if not isinstance(state_doc, dict) or "type" not in state_doc:

@@ -8,9 +8,12 @@ these values and the package is evidence, not tautology.
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 
-from qdetect import CMatrix, DensityOperator, Projection
+from qdetect import CMatrix, DensityOperator, Projection, SpecimenRecord
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -166,6 +169,23 @@ def random_decomposition(
     return rho1, rho2, lam1
 
 
+def random_commuting_family(
+    rng: np.random.Generator, dim: int, k: int, support: int
+) -> tuple[list[Projection], DensityOperator]:
+    """k projections diagonal in one Haar basis, and a state of rank `support`.
+
+    With few basis vectors carrying weight most outcome vectors get no mass,
+    so the joint distribution has zero-mass atoms.
+    """
+    v = haar_unitary(rng, dim)
+    family = [
+        projection_in_basis(v, rng.integers(0, 2, dim), name=f"A{i}") for i in range(k)
+    ]
+    w = np.zeros(dim)
+    w[rng.choice(dim, size=support, replace=False)] = rng.dirichlet(np.ones(support))
+    return family, DensityOperator(CMatrix((v * w) @ v.conj().T))
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
 
@@ -227,3 +247,49 @@ def spectral_atoms(mats, rho, bit_tol: float = 1e-6) -> dict:
         key = tuple(bits)
         atoms[key] = atoms.get(key, 0.0) + p
     return atoms
+
+
+# Per-record reference implementations of the ensemble layer: one Python
+# object per record, the way the columnar code must behave.
+
+
+def reference_records(dist, n: int, seed: int) -> list:
+    """Records drawn one by one: first Philox word per block, inverse CDF."""
+    u = np.random.Generator(np.random.Philox(key=seed)).random(4 * n)[::4]
+    keys = list(dist.atoms)
+    cum = np.cumsum([dist.atoms[k] for k in keys])
+    cum[-1] = 1.0
+    records = []
+    for i in range(n):
+        atom = keys[int(np.searchsorted(cum, u[i], side="right"))]
+        records.append(
+            SpecimenRecord(
+                id=i, outcomes={name: int(b) for name, b in zip(dist.names, atom)}
+            )
+        )
+    return records
+
+
+def reference_csv_bytes(family, records) -> bytes:
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["id", *family])
+    for r in records:
+        writer.writerow([r.id, *(r.outcomes[name] for name in family)])
+    return out.getvalue().encode("utf-8")
+
+
+def reference_count_outcome(records, name: str, bit: int) -> int:
+    return sum(1 for r in records if r.outcomes[name] == bit)
+
+
+def reference_count_atom(records, family, omega) -> int:
+    key = tuple(int(w) for w in omega)
+    return sum(
+        1 for r in records if tuple(r.outcomes[name] for name in family) == key
+    )
+
+
+def reference_audit(records, t_name: str, e_name: str) -> tuple[int, int]:
+    discordant = sum(1 for r in records if r.outcomes[t_name] != r.outcomes[e_name])
+    return discordant, len(records) - discordant

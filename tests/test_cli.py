@@ -80,6 +80,26 @@ def test_missing_scenario_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_oversized_dim_is_input_error(tmp_path, capsys):
+    # The state is malformed too: the dim cap must fire before any parsing.
+    path = tmp_path / "huge.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "huge",
+                "dim": 4097,
+                "state": {"type": "pure", "vector": "not an array"},
+                "observables": {"T": [], "E": []},
+                "claims": [],
+            }
+        )
+    )
+    assert main(["detect", str(path), "T", "E"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "dim 4097 exceeds the 4096 limit" in err
+
+
 def test_bad_tolerance_is_input_error(capsys):
     assert main(["ghsz", "--tol", "-1"]) == 2
     assert capsys.readouterr().err.startswith("error:")

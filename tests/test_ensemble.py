@@ -1,7 +1,12 @@
+import threading
+from dataclasses import FrozenInstanceError
+from itertools import product as cartesian
+
 import numpy as np
 import pytest
 
 from qdetect import (
+    Ensemble,
     PreconditionError,
     UnknownObservableError,
     ValidationError,
@@ -11,9 +16,19 @@ from qdetect import (
     joint_distribution,
     sample_ensemble,
 )
+from qdetect import ensemble as ensemble_module
 from qdetect.ensemble import _uniforms
 from qdetect.numerics import outer
 from qdetect.observables import DensityOperator
+
+from support import (
+    random_commuting_family,
+    reference_audit,
+    reference_count_atom,
+    reference_count_outcome,
+    reference_csv_bytes,
+    reference_records,
+)
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +207,105 @@ def test_singleton_family(ghsz):
     assert ens.family == ("E_alpha",)
     assert ens.count_atom((1,)) == ens.count_outcome("E_alpha", 1)
     assert check_support_statements(ens, dist).all_passed
+
+
+def test_many_workers_start_no_threads(pair_dist, monkeypatch):
+    base = sample_ensemble(pair_dist, 1000, seed=41, workers=1)
+
+    def refuse(self):
+        raise AssertionError("sample_ensemble started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for workers in (2, 10**6):
+        assert sample_ensemble(pair_dist, 1000, seed=41, workers=workers) == base
+
+
+def test_ensemble_columns_are_read_only(pair_dist):
+    ens = sample_ensemble(pair_dist, 10, seed=43)
+    with pytest.raises(ValueError):
+        ens.index[0] = 0
+    with pytest.raises(ValueError):
+        ens.table[0, 0] = 1
+    with pytest.raises(FrozenInstanceError):
+        ens.records = ()
+    assert ens.table.shape == (4, 2)
+    assert [tuple(row) for row in ens.table] == list(pair_dist.atoms)
+
+
+def test_ensemble_rejects_malformed_columns():
+    table = np.array([[0, 0], [1, 1]])
+    Ensemble("rho", 0, ("a", "b"), np.array([0, 1, 1]), table)
+    with pytest.raises(ValidationError):
+        Ensemble("rho", 0, ("a", "b"), np.array([0, 2]), table)
+    with pytest.raises(ValidationError):
+        Ensemble("rho", 0, ("a", "b"), np.array([-1]), table)
+    with pytest.raises(ValidationError):
+        Ensemble("rho", 0, ("a",), np.array([0]), table)
+    with pytest.raises(ValidationError):
+        Ensemble("rho", 0, ("a", "b"), np.array([0]), np.array([[0, 2]]))
+    with pytest.raises(ValidationError):
+        Ensemble("rho", 0, ("a", "b"), np.array([0.0]), table)
+
+
+def test_columnar_ensemble_matches_per_record_reference(tmp_path, monkeypatch):
+    # A 7-record CSV chunk makes chunks end both inside and at the ends of
+    # each run of equally long ids.
+    monkeypatch.setattr(ensemble_module, "_CSV_CHUNK", 7)
+    rng = np.random.default_rng(2024)
+    zero_mass_seen = False
+    cases = [(k, n) for k in range(1, 6) for n in (1, 2, 333)]
+    cases.append((3, 1234))
+    for case, (k, n) in enumerate(cases):
+        family, rho = random_commuting_family(rng, dim=8, k=k, support=3)
+        dist = joint_distribution(family, rho)
+        zero_mass_seen |= any(p == 0.0 for p in dist.atoms.values())
+        seed = int(rng.integers(0, 2**63))
+        ens = sample_ensemble(dist, n, seed=seed)
+        ref = reference_records(dist, n, seed)
+        assert ens.n == n
+        assert list(ens.records) == ref, f"case {case}"
+
+        path = tmp_path / f"case{case}.csv"
+        ens.to_csv(path)
+        assert path.read_bytes() == reference_csv_bytes(dist.names, ref), f"case {case}"
+
+        for name in dist.names:
+            for bit in (0, 1):
+                assert ens.count_outcome(name, bit) == reference_count_outcome(
+                    ref, name, bit
+                )
+        for omega in cartesian((0, 1), repeat=k):
+            assert ens.count_atom(omega) == reference_count_atom(
+                ref, dist.names, omega
+            )
+        for t_name in dist.names:
+            for e_name in dist.names:
+                assert detection_frequency_audit(
+                    t_name, e_name, ens
+                ) == reference_audit(ref, t_name, e_name)
+    assert zero_mass_seen
+
+
+def test_exclusive_pairs_match_mass_loop():
+    rng = np.random.default_rng(77)
+    selected_total = skipped_total = 0
+    for _ in range(12):
+        k = int(rng.integers(4, 7))
+        family, rho = random_commuting_family(rng, dim=12, k=k, support=3)
+        dist = joint_distribution(family, rho)
+        assert any(p == 0.0 for p in dist.atoms.values())
+        expect = {
+            f"exclusive:{dist.names[i]}~{dist.names[j]}"
+            for i in range(k)
+            for j in range(i + 1, k)
+            if dist.mass({i: 1, j: 1}) == 0.0
+        }
+        report = check_support_statements(sample_ensemble(dist, 200, seed=k), dist)
+        got = {c.name for c in report.checks if c.name.startswith("exclusive:")}
+        assert got == expect
+        exclusive = [c for c in report.checks if c.name in got]
+        assert all(c.passed and c.residual == 0.0 for c in exclusive)
+        selected_total += len(got)
+        skipped_total += k * (k - 1) // 2 - len(got)
+    # The sweep must exercise both verdicts of the selection.
+    assert selected_total > 0 and skipped_total > 0

@@ -13,6 +13,7 @@ from qdetect import (
     DensityOperator,
     DetectionClaim,
     DimensionError,
+    MAX_DIM,
     PreconditionError,
     Projection,
     Scenario,
@@ -396,6 +397,17 @@ def test_load_rejects_wrong_dimension(tmp_path):
     doc = _base_doc()
     doc["dim"] = 3
     with pytest.raises(DimensionError):
+        load_scenario(_write(tmp_path, doc))
+
+
+def test_load_caps_dim_before_parsing(tmp_path):
+    doc = _base_doc()
+    doc["dim"] = MAX_DIM + 1
+    with pytest.raises(DimensionError, match="limit"):
+        load_scenario(_write(tmp_path, doc))
+    # At the cap itself loading goes on and fails on the 2-entry vector.
+    doc["dim"] = MAX_DIM
+    with pytest.raises(DimensionError, match="does not match"):
         load_scenario(_write(tmp_path, doc))
 
 
