@@ -6,17 +6,17 @@ hold". This module computes those assignment probabilities, the conditional
 probabilities they induce, the consistency conditions tying them together
 (extension of the commuting case, additivity over orthogonal families, and
 the complement sum rule), the simulation equalities that make a detector
-statistically indistinguishable from what it detects, and a brute-force
-joint-outcome distribution for commuting families that serves as an
-independent oracle for all of the above.
+statistically indistinguishable from what it detects, and prefix-shared
+joint-outcome atoms for commuting families that serve as an independent
+oracle for all of the above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product as cartesian
-from typing import Mapping, Optional, Sequence
+from itertools import combinations
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -28,12 +28,13 @@ from .errors import (
     UndefinedConditionalError,
     ValidationError,
 )
-from .numerics import CMatrix, DEFAULT_TOL, Tolerance, identity, trace
+from .numerics import CMatrix, DEFAULT_TOL, Tolerance, identity
 from .observables import (
     DensityOperator,
     Projection,
-    commutator_defect,
-    commutes,
+    _real_trace,
+    _require_commute_with,
+    _require_pairwise_commuting,
     complement,
     orthogonal_sum,
 )
@@ -43,15 +44,9 @@ from .detection import detects
 MAX_FAMILY = 12
 
 
-def _real_trace(m: CMatrix, gate: float, what: str) -> float:
-    """Trace that must be real up to float noise; raises if it is not."""
-    value = trace(m)
-    if abs(value.imag) > gate:
-        raise LemmaViolationError(
-            f"{what} has imaginary part {value.imag:.3e}; "
-            "this trace is real by construction, so something upstream broke"
-        )
-    return value.real
+def _sandwich(rho: CMatrix, e: CMatrix, f: CMatrix, gate: float, what: str = "Tr(rho.E.F.E)") -> float:
+    """The sandwich Tr(rho.E.F.E), real for Hermitian rho, E and F."""
+    return _real_trace(what, gate, rho, e, f, e)
 
 
 def _assert_probability(p: float, gate: float, what: str) -> float:
@@ -91,13 +86,9 @@ def assignment_probs(
         )
     gate = tol.gate(e.dim)
     ep = complement(e)
-    raw_ef = _real_trace(
-        rho.matrix @ e.matrix @ f.matrix @ e.matrix, gate, "Tr(rho.E.F.E)"
-    )
-    raw_epf = _real_trace(
-        rho.matrix @ ep.matrix @ f.matrix @ ep.matrix, gate, "Tr(rho.E'.F.E')"
-    )
-    raw_f = _real_trace(rho.matrix @ f.matrix, gate, "Tr(rho.F)")
+    raw_ef = _sandwich(rho.matrix, e.matrix, f.matrix, gate)
+    raw_epf = _sandwich(rho.matrix, ep.matrix, f.matrix, gate, "Tr(rho.E'.F.E')")
+    raw_f = _real_trace("Tr(rho.F)", gate, rho.matrix, f.matrix)
     residual = abs(raw_f - raw_ef - raw_epf)
     return AssignmentProbabilities(
         p_e_and_f=_assert_probability(raw_ef, gate, "Tr(rho.E.F.E)"),
@@ -119,16 +110,14 @@ def cond_prob(
             f"dimension mismatch: f={f.dim}, g={g.dim}, rho={rho.dim}"
         )
     gate = tol.gate(f.dim)
-    if not commutes(f, g, tol):
-        raise CoMeasurabilityError(
-            f"P({f.name or 'F'} | {g.name or 'G'}) needs a commuting pair"
-        )
-    den = _real_trace(rho.matrix @ g.matrix, gate, "Tr(rho.G)")
+    labels = [f.name or "F", g.name or "G"]
+    _require_pairwise_commuting(labels, [f.matrix, g.matrix], gate, CoMeasurabilityError)
+    den = _real_trace("Tr(rho.G)", gate, rho.matrix, g.matrix)
     if den <= gate:
         raise UndefinedConditionalError(
             f"conditioning on {g.name or 'G'} with probability {den!r}"
         )
-    num = _real_trace(rho.matrix @ f.matrix @ g.matrix, gate, "Tr(rho.F.G)")
+    num = _real_trace("Tr(rho.F.G)", gate, rho.matrix, f.matrix, g.matrix)
     return _assert_probability(num / den, gate, "P(F|G)")
 
 
@@ -168,16 +157,9 @@ def simulation_equalities(
             f"state defect={check.state_equal_defect:.3e}"
         )
     gate = tol.gate(t.dim)
+    _require_commute_with(f_list, gate, detector=t, detected=e)
     results = []
     for i, f in enumerate(f_list):
-        label = f.name or f"F{i}"
-        for other, side in ((t, "detector"), (e, "detected")):
-            defect = commutator_defect(f.matrix, other.matrix)
-            if defect > gate:
-                raise PreconditionError(
-                    f"{label} does not commute with the {side} "
-                    f"(defect {defect:.3e})"
-                )
         notes = []
         defects: list[Optional[float]] = []
         for a, b in ((t, e), (complement(t), complement(e))):
@@ -192,7 +174,7 @@ def simulation_equalities(
         passed = all(d <= gate for d in defects if d is not None)
         results.append(
             SimulationEquality(
-                f_name=label,
+                f_name=f.name or f"F{i}",
                 defect_outcome1=defects[0],
                 defect_outcome0=defects[1],
                 passed=passed,
@@ -209,15 +191,11 @@ def check_C1(
     tol: Tolerance = DEFAULT_TOL,
 ) -> bool:
     """For commuting pairs the sandwich extends the plain joint trace."""
-    if not commutes(e, f, tol):
-        raise CoMeasurabilityError(
-            "the extension condition only speaks about commuting pairs"
-        )
     gate = tol.gate(e.dim)
-    sandwich = _real_trace(
-        rho.matrix @ e.matrix @ f.matrix @ e.matrix, gate, "Tr(rho.E.F.E)"
-    )
-    plain = _real_trace(rho.matrix @ e.matrix @ f.matrix, gate, "Tr(rho.E.F)")
+    labels = [e.name or "E", f.name or "F"]
+    _require_pairwise_commuting(labels, [e.matrix, f.matrix], gate, CoMeasurabilityError)
+    sandwich = _sandwich(rho.matrix, e.matrix, f.matrix, gate)
+    plain = _real_trace("Tr(rho.E.F)", gate, rho.matrix, e.matrix, f.matrix)
     return abs(sandwich - plain) <= gate
 
 
@@ -262,15 +240,9 @@ def detection_form_equality(
     if not check.holds:
         raise PreconditionError("the equality is only claimed under detection")
     gate = tol.gate(t.dim)
-    defect = commutator_defect(f.matrix, t.matrix)
-    if defect > gate:
-        raise PreconditionError(
-            f"F must commute with the detector (defect {defect:.3e})"
-        )
-    lhs = _real_trace(
-        rho.matrix @ e.matrix @ f.matrix @ e.matrix, gate, "Tr(rho.E.F.E)"
-    )
-    rhs = _real_trace(rho.matrix @ f.matrix @ t.matrix, gate, "Tr(rho.F.T)")
+    _require_commute_with([f], gate, detector=t)
+    lhs = _sandwich(rho.matrix, e.matrix, f.matrix, gate)
+    rhs = _real_trace("Tr(rho.F.T)", gate, rho.matrix, f.matrix, t.matrix)
     return abs(lhs - rhs) <= gate
 
 
@@ -289,39 +261,27 @@ def cz_property_check(
     F must commute with the detector t.
     """
     gate = tol.gate(e.dim)
-    den = _real_trace(rho.matrix @ e.matrix, gate, "Tr(rho.E)")
+    den = _real_trace("Tr(rho.E)", gate, rho.matrix, e.matrix)
     if den <= gate:
         raise PreconditionError(
             f"conditional functional undefined: Tr(rho.E) = {den!r}"
         )
-    for i, f in enumerate(sample_f):
-        defect = commutator_defect(f.matrix, t.matrix)
-        if defect > gate:
-            raise PreconditionError(
-                f"sample member {f.name or i} does not commute with the "
-                f"detector (defect {defect:.3e})"
-            )
+    _require_commute_with(sample_f, gate, detector=t)
 
     def conditional(fm: CMatrix) -> float:
-        num = _real_trace(
-            rho.matrix @ e.matrix @ fm @ e.matrix, gate, "Tr(rho.E.F.E)"
-        )
-        return num / den
+        return _sandwich(rho.matrix, e.matrix, fm, gate) / den
 
     ok = abs(conditional(identity(e.dim)) - 1.0) <= gate
-    mats = [f.matrix for f in sample_f]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            overlap = float(np.max(np.abs((mats[i] @ mats[j]).array)))
-            if overlap > gate:
-                continue
-            joint = conditional(mats[i] + mats[j])
-            ok = ok and abs(joint - conditional(mats[i]) - conditional(mats[j])) <= gate
+    for fi, fj in combinations([f.matrix for f in sample_f], 2):
+        if float(np.max(np.abs((fi @ fj).array))) > gate:
+            continue
+        joint = conditional(fi + fj)
+        ok = ok and abs(joint - conditional(fi) - conditional(fj)) <= gate
     for f in sample_f:
         # F <= E means E absorbs F on the left.
         if float(np.max(np.abs((e.matrix @ f.matrix - f.matrix).array))) > gate:
             continue
-        ratio = _real_trace(rho.matrix @ f.matrix, gate, "Tr(rho.F)") / den
+        ratio = _real_trace("Tr(rho.F)", gate, rho.matrix, f.matrix) / den
         ok = ok and abs(conditional(f.matrix) - ratio) <= gate
     return ok
 
@@ -370,16 +330,27 @@ class JointDistribution:
         )
 
 
+def _prefix_products(m: CMatrix, factors, prefix=()) -> Iterator[tuple[tuple, CMatrix]]:
+    """Every (omega, m.F_1[omega_1]...F_n[omega_n]), depth first, outcome 0 first."""
+    if len(prefix) == len(factors):
+        yield prefix, m
+    else:
+        for w, f in enumerate(factors[len(prefix)]):
+            yield from _prefix_products(m @ f, factors, prefix + (w,))
+
+
 def joint_distribution(
     observables: Sequence[Projection],
     rho: DensityOperator,
     tol: Tolerance = DEFAULT_TOL,
 ) -> JointDistribution:
-    """Brute-force joint distribution over all 2^n outcome vectors.
+    """Joint distribution over all 2^n outcome vectors.
 
     The atom for outcome vector omega is Tr(rho . prod_i E_i^(omega_i)) with
-    E^1 = E and E^0 = I - E. Everything must commute pairwise, so the product
-    order is immaterial and each atom is a genuine probability.
+    E^1 = E and E^0 = I - E. A depth-first walk shares each prefix's partial
+    product among the atoms below it: 2^(n+1) - 2 products, with one branch
+    in memory. Everything must commute pairwise, so the product order is
+    immaterial and each atom is a genuine probability.
     """
     if not observables:
         raise PreconditionError("joint distribution needs at least one observable")
@@ -395,34 +366,19 @@ def joint_distribution(
                 f"dimension mismatch: {p.name or '?'}={p.dim}, rho={dim}"
             )
     gate = tol.gate(dim)
-    for i in range(len(observables)):
-        for j in range(i + 1, len(observables)):
-            defect = commutator_defect(
-                observables[i].matrix, observables[j].matrix
-            )
-            if defect > gate:
-                raise CoMeasurabilityError(
-                    f"observables {observables[i].name or i} and "
-                    f"{observables[j].name or j} do not commute "
-                    f"(defect {defect:.3e}); no joint outcomes exist"
-                )
     names = tuple(
         p.name if p.name else f"obs{i}" for i, p in enumerate(observables)
     )
+    mats = [p.matrix for p in observables]
+    _require_pairwise_commuting(names, mats, gate, CoMeasurabilityError)
     if len(set(names)) != len(names):
         raise ValidationError(f"observable names must be unique, got {names}")
 
-    one = [p.matrix for p in observables]
-    zero = [complement(p).matrix for p in observables]
+    factors = [(complement(p).matrix, p.matrix) for p in observables]
     raw: dict[tuple[int, ...], float] = {}
     total = 0.0
-    # cartesian((0, 1)) enumerates outcome vectors in ascending lexicographic
-    # order with the first observable most significant.
-    for omega in cartesian((0, 1), repeat=len(observables)):
-        m = rho.matrix
-        for i, w in enumerate(omega):
-            m = m @ (one[i] if w else zero[i])
-        p = _real_trace(m, gate * (2 ** len(observables)), "joint atom")
+    for omega, m in _prefix_products(rho.matrix, factors):
+        p = _real_trace("joint atom", gate * (2 ** len(observables)), m)
         if p < -gate:
             raise LemmaViolationError(f"joint atom {omega} came out {p!r}")
         raw[omega] = p

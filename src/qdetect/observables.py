@@ -11,13 +11,16 @@ back into a projection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
+    LemmaViolationError,
     OrthogonalityError,
     PreconditionError,
+    ToolkitError,
     ValidationError,
 )
 from .numerics import (
@@ -28,6 +31,7 @@ from .numerics import (
     hermiticity_defect,
     identity,
     kernel_projector,
+    mul,
     trace,
 )
 
@@ -61,6 +65,13 @@ class Projection:
     @property
     def dim(self) -> int:
         return self.matrix.dim
+
+    @classmethod
+    def _trusted(cls, matrix: CMatrix, name: str, tol: Tolerance) -> "Projection":
+        """A projection valid by construction; skips the O(d^3) validation."""
+        p = object.__new__(cls)
+        p.__dict__.update(matrix=matrix, name=name, tol=tol)
+        return p
 
     def rank(self) -> int:
         # Eigenvalues of a valid projection cluster at 0 and 1.
@@ -118,8 +129,7 @@ class DensityOperator:
 
     def expectation(self, p: Projection) -> float:
         """Probability the property p holds in this state."""
-        value = trace(self.matrix @ p.matrix)
-        return float(value.real)
+        return float(_rho_trace(self.matrix, p.matrix).real)
 
     def __repr__(self) -> str:
         label = self.name or "?"
@@ -145,19 +155,15 @@ class PMObservable:
     def operator(self) -> CMatrix:
         return 2.0 * self.plus.matrix - identity(self.dim)
 
-    @property
-    def minus(self) -> Projection:
-        return complement(self.plus)
-
     def __repr__(self) -> str:
         label = self.name or "?"
         return f"PMObservable({label}, dim={self.dim})"
 
 
 def complement(p: Projection) -> Projection:
-    """The negation 1 - P of a property."""
+    """The negation 1 - P of a property; it inherits the defects of P."""
     name = f"{p.name}'" if p.name else ""
-    return Projection(identity(p.dim) - p.matrix, name=name, tol=p.tol)
+    return Projection._trusted(identity(p.dim) - p.matrix, name=name, tol=p.tol)
 
 
 def commutator(a: CMatrix, b: CMatrix) -> CMatrix:
@@ -171,6 +177,42 @@ def commutator_defect(a: CMatrix, b: CMatrix) -> float:
 
 def commutes(a: Projection, b: Projection, tol: Tolerance = DEFAULT_TOL) -> bool:
     return commutator_defect(a.matrix, b.matrix) <= tol.gate(a.dim)
+
+
+def _require_pairwise_commuting(
+    labels: Sequence[str], mats: Sequence[CMatrix], gate: float, error: type[ToolkitError]
+) -> None:
+    """Raise `error` naming the first pair of mats whose commutator exceeds gate."""
+    for i, j in combinations(range(len(mats)), 2):
+        defect = commutator_defect(mats[i], mats[j])
+        if defect > gate:
+            raise error(
+                f"observables {labels[i]} and {labels[j]} do not commute (defect {defect:.3e})"
+            )
+
+
+def _require_commute_with(fs: Sequence[Projection], gate: float, **fixed: Projection) -> None:
+    """Raise PreconditionError unless every F commutes with each named projection."""
+    for i, f in enumerate(fs):
+        for role, other in fixed.items():
+            labels = (f.name or f"F{i}", f"the {role}")
+            _require_pairwise_commuting(labels, (f.matrix, other.matrix), gate, PreconditionError)
+
+
+def _rho_trace(rho: CMatrix, *ops: CMatrix) -> complex:
+    """Tr(rho . ops[0] . ops[1] ...), the product taken left to right."""
+    return trace(mul(rho, *ops))
+
+
+def _real_trace(what: str, gate: float, rho: CMatrix, *ops: CMatrix) -> float:
+    """Tr(rho.ops...), which must be real up to float noise; raises if not."""
+    value = _rho_trace(rho, *ops)
+    if abs(value.imag) > gate:
+        raise LemmaViolationError(
+            f"{what} has imaginary part {value.imag:.3e}; "
+            "this trace is real by construction, so something upstream broke"
+        )
+    return value.real
 
 
 def commutation_projection(
@@ -221,33 +263,12 @@ def derived_projection(
     if not pms:
         raise ValidationError("derived_projection needs at least one observable")
     dim = pms[0].dim
-    for i, x in enumerate(pms):
-        for y in pms[i + 1 :]:
-            defect = commutator_defect(x.operator, y.operator)
-            if defect > tol.gate(dim):
-                raise PreconditionError(
-                    f"observables {x.name or i} and {y.name or '?'} do not "
-                    f"commute (defect {defect:.3e})"
-                )
-    product = pms[0].operator
-    for x in pms[1:]:
-        product = product @ x.operator
-    matrix = 0.5 * (identity(dim) + float(coeff) * product)
+    ops = [x.operator for x in pms]
+    labels = [x.name or str(i) for i, x in enumerate(pms)]
+    _require_pairwise_commuting(labels, ops, tol.gate(dim), PreconditionError)
+    matrix = 0.5 * (identity(dim) + float(coeff) * mul(*ops))
     if not name:
         sign = "+" if coeff == 1 else "-"
         body = "*".join(x.name or "?" for x in pms)
         name = f"(1{sign}{body})/2"
     return Projection(matrix, name=name, tol=tol)
-
-
-def projection_from_plus_eigenspace(op: CMatrix, name: str = "", tol: Tolerance = DEFAULT_TOL) -> PMObservable:
-    """Wrap a +-1 operator (square equal to identity) as a PMObservable."""
-    sq_defect = dist(op @ op, identity(op.dim))
-    if sq_defect > tol.gate(op.dim):
-        raise ValidationError(
-            f"operator square differs from identity by {sq_defect:.3e}"
-        )
-    if hermiticity_defect(op) > tol.gate(op.dim):
-        raise ValidationError("a +-1 observable must be Hermitian")
-    plus = Projection(0.5 * (identity(op.dim) + op), name=f"[{name}=+1]" if name else "", tol=tol)
-    return PMObservable(plus, name=name)

@@ -141,7 +141,8 @@ def enumerate_constraints(
     """Exhaustive check of every +-1 assignment against the constraint set.
 
     Returns the satisfying assignments and the total number tried (2^k for
-    k symbols).
+    k symbols). verify_scenario counts by elimination instead; this is the
+    reference it is tested against.
     """
     satisfying = []
     total = 0
@@ -151,6 +152,30 @@ def enumerate_constraints(
         if cs.satisfied_by(assignment):
             satisfying.append(assignment)
     return satisfying, total
+
+
+def _solution_count(cs: ConstraintSet) -> int:
+    """Number of +-1 assignments satisfying cs, by elimination over GF(2).
+
+    With s = (-1)**x each equation is one row: XOR of x over left and right
+    (a repeated symbol cancels) = [sign == -1]. A consistent system of rank
+    r over k symbols has 2**(k - r) solutions, an inconsistent one none.
+    """
+    if len(set(cs.symbols)) != len(cs.symbols):
+        raise ValidationError("duplicate symbol in sign assignment")
+    bit = {s: 2 << i for i, s in enumerate(cs.symbols)}  # bit 0 holds the sign
+    pivots: dict[int, int] = {}  # bit length -> reduced row with that leading bit
+    for eq in cs.equations:
+        row = int(eq.sign == -1)
+        for s in eq.left + eq.right:
+            row ^= bit[s]
+        while row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        if row == 1:
+            return 0
+        if row:
+            pivots[row.bit_length()] = row
+    return 2 ** (len(cs.symbols) - len(pivots))
 
 
 @dataclass(frozen=True)
@@ -394,14 +419,14 @@ def verify_scenario(scn: Scenario, tol: Tolerance = DEFAULT_TOL) -> Report:
                 detail=check.note,
             )
         elif isinstance(claim, ConstraintClaim):
-            satisfying, total = enumerate_constraints(claim.constraints)
-            observed = len(satisfying) > 0
+            count = _solution_count(claim.constraints)
+            total = 2 ** len(claim.constraints.symbols)
             report.add(
                 name="constraints:satisfiable",
-                passed=observed == claim.satisfiable,
-                residual=float(len(satisfying)),
+                passed=(count > 0) == claim.satisfiable,
+                residual=float(count),
                 ref="claim:constraints",
-                detail=f"{len(satisfying)} of {total} sign assignments satisfy",
+                detail=f"{count} of {total} sign assignments satisfy",
             )
         else:
             raise ValidationError(f"unknown claim type {type(claim).__name__}")

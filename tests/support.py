@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 
 import numpy as np
 
@@ -293,3 +294,23 @@ def reference_count_atom(records, family, omega) -> int:
 def reference_audit(records, t_name: str, e_name: str) -> tuple[int, int]:
     discordant = sum(1 for r in records if r.outcomes[t_name] != r.outcomes[e_name])
     return discordant, len(records) - discordant
+
+
+def reference_joint_atoms(observables, rho, eig_cut: float = 1e-8) -> tuple[dict, float]:
+    """Joint atoms with one full n-factor chain per atom, in plain numpy.
+
+    Returns (atoms, renormalization) computed the way joint_distribution
+    must: rho . E_1^(w_1) ... E_n^(w_n) left to right for every outcome
+    vector, atoms within eig_cut of zero clamped, the rest renormalized.
+    """
+    one = [p.matrix.array for p in observables]
+    zero = [np.eye(p.dim, dtype=np.complex128) - p.matrix.array for p in observables]
+    raw = {}
+    for omega in itertools.product((0, 1), repeat=len(observables)):
+        m = rho.matrix.array
+        for i, w in enumerate(omega):
+            m = m @ (one[i] if w else zero[i])
+        raw[omega] = complex(np.trace(m)).real
+    clamped = {omega: (0.0 if abs(p) <= eig_cut else p) for omega, p in raw.items()}
+    mass = sum(clamped.values())
+    return {omega: p / mass for omega, p in clamped.items()}, mass

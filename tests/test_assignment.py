@@ -28,12 +28,14 @@ from qdetect.assignment import MAX_FAMILY
 from support import (
     haar_unitary,
     projection_in_basis,
+    random_commuting_family,
     random_commuting_nondetecting_triple,
     random_commuting_pair,
     random_density,
     random_detecting_quad,
     random_detecting_triple,
     random_projection,
+    reference_joint_atoms,
     refine_inside,
     spectral_atoms,
 )
@@ -317,3 +319,36 @@ def test_joint_distribution_validations(rt):
         joint_distribution([e, e], rho2)
     with pytest.raises(DimensionError):
         joint_distribution([Projection(CMatrix(np.eye(3)))], rho2)
+
+
+def test_joint_distribution_equals_per_atom_chain():
+    # Prefix-shared products must give the per-atom chain bit for bit.
+    rng = np.random.default_rng(101)
+    for k in range(1, 8):
+        for support in (1, 3, 8):
+            family, rho = random_commuting_family(rng, 8, k, support)
+            dist = joint_distribution(family, rho)
+            atoms, mass = reference_joint_atoms(family, rho)
+            assert list(dist.atoms.items()) == list(atoms.items())
+            assert dist.renormalization == mass
+            if k >= 4:
+                assert 0.0 in dist.atoms.values()
+
+
+def test_joint_distribution_shares_prefix_products(monkeypatch):
+    # 2 + 4 + ... + 2^n products, one per node of the outcome tree below rho;
+    # commutator products start from a family member and are not counted.
+    n = 6
+    family, rho = random_commuting_family(np.random.default_rng(103), 8, n, 3)
+    members = {id(p.matrix) for p in family}
+    matmul = CMatrix.__matmul__
+    products = []
+
+    def counting(self, other):
+        if id(self) not in members:
+            products.append(self)
+        return matmul(self, other)
+
+    monkeypatch.setattr(CMatrix, "__matmul__", counting)
+    joint_distribution(family, rho)
+    assert len(products) == 2 ** (n + 1) - 2

@@ -19,7 +19,7 @@ from qdetect import (
     orthogonal_sum,
     zeros,
 )
-from qdetect.observables import commutator_defect, projection_from_plus_eigenspace
+from qdetect.observables import commutator_defect
 
 from support import (
     _I2,
@@ -89,6 +89,20 @@ def test_complement_matches_bit_index_oracle(ghsz):
     oracle = tensor4([np.eye(2) - _P_PLUS, _I2, _I2, _I2])
     assert np.max(np.abs(got.matrix.array - oracle)) < 1e-14
     assert got.name == "E_alpha'"
+
+
+def test_complement_is_not_revalidated(monkeypatch):
+    # 1 - P inherits the defects of P, so complement skips validation.
+    e = Projection(CMatrix(_P_PLUS), name="E")
+
+    def refuse(self):
+        raise AssertionError("complement re-validated its result")
+
+    monkeypatch.setattr(Projection, "__post_init__", refuse)
+    got = complement(e)
+    assert got.name == "E'" and got.tol is e.tol
+    assert np.array_equal(got.matrix.array, np.eye(2) - _P_PLUS)
+    assert complement(complement(e)).name == "E''"
 
 
 def test_complement_involution():
@@ -210,14 +224,6 @@ def test_pm_observable_squares_to_identity():
         dim = int(rng.integers(2, 9))
         x = PMObservable(random_projection(rng, dim))
         assert dist(x.operator @ x.operator, identity(dim)) < 1e-12 * dim
-
-
-def test_pm_observable_wrap_round_trip():
-    e = Projection(CMatrix(_P_PLUS), name="E")
-    wrapped = projection_from_plus_eigenspace(PMObservable(e).operator, "A")
-    assert dist(wrapped.plus.matrix, e.matrix) < 1e-12
-    with pytest.raises(ValidationError):
-        projection_from_plus_eigenspace(CMatrix([[2.0, 0.0], [0.0, 1.0]]))
 
 
 def test_affine_images_share_spectral_projectors():

@@ -118,6 +118,60 @@ def test_flipping_fourth_sign_restores_satisfiability():
         assert set(a.as_dict()) == set(CONSTRAINT_SYMBOLS)
 
 
+def _constraint_report(cs: ConstraintSet, satisfiable: bool = True):
+    state = DensityOperator(CMatrix([[1.0]]))
+    scn = Scenario("signs", 1, state, {}, [ConstraintClaim(cs, satisfiable)])
+    (check,) = verify_scenario(scn).checks
+    return check
+
+
+def test_verify_counts_match_enumeration():
+    rng = np.random.default_rng(59)
+    for _ in range(60):
+        k = int(rng.integers(1, 13))
+        symbols = tuple(f"s{i}" for i in range(k))
+
+        def monomial():
+            # With replacement, so a symbol may occur twice and cancel.
+            return tuple(rng.choice(symbols, size=int(rng.integers(1, 4))).tolist())
+
+        eqs = tuple(
+            SignEquation(monomial(), monomial(), int(rng.choice([1, -1])))
+            for _ in range(int(rng.integers(0, k + 2)))
+        )
+        cs = ConstraintSet(symbols, eqs)
+        satisfying, total = enumerate_constraints(cs)
+        check = _constraint_report(cs)
+        assert check.residual == float(len(satisfying))
+        assert check.detail == f"{len(satisfying)} of {total} sign assignments satisfy"
+        assert check.passed == (len(satisfying) > 0)
+    assert _constraint_report(ghsz_sign_constraints(), False).detail == (
+        "0 of 128 sign assignments satisfy"
+    )
+
+
+def test_verify_counts_forty_symbols_without_enumeration(monkeypatch):
+    def refuse(cs):
+        raise AssertionError("verify_scenario enumerated 2^k assignments")
+
+    monkeypatch.setattr("qdetect.scenarios.enumerate_constraints", refuse)
+    symbols = tuple(f"s{i:02d}" for i in range(40))
+    # s00 = s01 = ... = s30: rank 30, so 2^10 of the 2^40 assignments.
+    chain = tuple(SignEquation((a,), (b,), 1) for a, b in zip(symbols[:30], symbols[1:31]))
+    check = _constraint_report(ConstraintSet(symbols, chain))
+    assert check.residual == 1024.0
+    assert check.detail == f"1024 of {2**40} sign assignments satisfy"
+    # s00 = -s30 contradicts the chain.
+    contradiction = chain + (SignEquation(("s00",), ("s30",), -1),)
+    check = _constraint_report(ConstraintSet(symbols, contradiction), False)
+    assert check.passed and check.residual == 0.0
+
+
+def test_verify_rejects_duplicate_symbols():
+    with pytest.raises(ValidationError):
+        _constraint_report(ConstraintSet(("p", "p"), ()))
+
+
 # ---------------------------------------------------------------------------
 # Scenario container
 
