@@ -112,6 +112,11 @@ def cond_prob(
     gate = tol.gate(f.dim)
     labels = [f.name or "F", g.name or "G"]
     _require_pairwise_commuting(labels, [f.matrix, g.matrix], gate, CoMeasurabilityError)
+    return _conditional(f, g, rho, gate)
+
+
+def _conditional(f: Projection, g: Projection, rho: DensityOperator, gate: float) -> float:
+    """P(F | G) for a pair already known to commute."""
     den = _real_trace("Tr(rho.G)", gate, rho.matrix, g.matrix)
     if den <= gate:
         raise UndefinedConditionalError(
@@ -164,8 +169,8 @@ def simulation_equalities(
         defects: list[Optional[float]] = []
         for a, b in ((t, e), (complement(t), complement(e))):
             try:
-                lhs = cond_prob(f, a, rho, tol)
-                rhs = cond_prob(f, b, rho, tol)
+                lhs = _conditional(f, a, rho, gate)
+                rhs = _conditional(f, b, rho, gate)
                 defects.append(abs(lhs - rhs))
             except UndefinedConditionalError:
                 defects.append(None)

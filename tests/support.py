@@ -314,3 +314,23 @@ def reference_joint_atoms(observables, rho, eig_cut: float = 1e-8) -> tuple[dict
     clamped = {omega: (0.0 if abs(p) <= eig_cut else p) for omega, p in raw.items()}
     mass = sum(clamped.values())
     return {omega: p / mass for omega, p in clamped.items()}, mass
+
+
+# Per-entry reference of the scenario-file array codec: one Python complex
+# per [re, im] pair, the way the vectorized encoder and decoder must behave.
+
+
+def reference_encode_pairs(a: np.ndarray) -> list:
+    """[float(re), float(im)] for each entry of a complex vector or matrix."""
+    pair = lambda z: [float(z.real), float(z.imag)]  # noqa: E731
+    if a.ndim == 1:
+        return [pair(z) for z in a.tolist()]
+    return [[pair(z) for z in row] for row in a.tolist()]
+
+
+def reference_decode_pairs(doc: list, ndim: int) -> np.ndarray:
+    """complex(float(re), float(im)) for each pair of a well-formed array."""
+    pair = lambda z: complex(float(z[0]), float(z[1]))  # noqa: E731
+    if ndim == 1:
+        return np.array([pair(z) for z in doc], dtype=np.complex128)
+    return np.array([[pair(z) for z in row] for row in doc], dtype=np.complex128)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import qdetect.detection
+import qdetect.observables
 from qdetect import (
     CMatrix,
     CoMeasurabilityError,
@@ -195,6 +197,30 @@ def test_simulation_equalities_on_scenario(ghsz):
         assert r.defect_outcome0 == pytest.approx(0.0, abs=1e-12)
         assert r.note == ""
     assert [r.f_name for r in results] == ["E_alpha", "F", "L_alpha"]
+
+
+def test_simulation_equalities_checks_each_commutation_once(ghsz, monkeypatch):
+    # One check inside detects plus F against T and E for each of k = 3 F:
+    # 2k + 1 = 7, with conditionals bit-identical to the public cond_prob.
+    calls = []
+    original = qdetect.observables.commutator_defect
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    t, e = ghsz.observable("M"), ghsz.observable("G_alpha")
+    fs = [ghsz.observable(n) for n in ("E_alpha", "F", "L_alpha")]
+    for module in (qdetect.observables, qdetect.detection):
+        monkeypatch.setattr(module, "commutator_defect", counting)
+    results = simulation_equalities(t, e, ghsz.state, fs)
+    assert len(calls) == 7
+    monkeypatch.undo()
+    for f, r in zip(fs, results):
+        want1 = abs(cond_prob(f, t, ghsz.state) - cond_prob(f, e, ghsz.state))
+        tc, ec = complement(t), complement(e)
+        want0 = abs(cond_prob(f, tc, ghsz.state) - cond_prob(f, ec, ghsz.state))
+        assert (r.defect_outcome1, r.defect_outcome0) == (want1, want0)
 
 
 def test_simulation_equalities_random_triples():

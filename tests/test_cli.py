@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+import qdetect.assignment
+import qdetect.cli
+import qdetect.detection
 from qdetect import build_example_44, save_scenario
 from qdetect.cli import main
 
@@ -98,6 +101,41 @@ def test_oversized_dim_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "dim 4097 exceeds the 4096 limit" in err
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_oversize_integer_is_input_error(tmp_path, capsys, digits):
+    # 400 digits overflow a float; 5000 exceed what json will parse at all.
+    text = json.dumps(
+        {
+            "name": "big",
+            "dim": 1,
+            "state": {"type": "pure", "vector": [[1.0, 0.0]]},
+            "observables": {"E": [[[1.0, "BIG"]]]},
+            "claims": [],
+        }
+    ).replace('"BIG"', "1" + "0" * (digits - 1))
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    assert main(["detect", str(path), "E", "E"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_detect_runs_detects_four_times(ghsz_file, monkeypatch, capsys):
+    # cmd_detect, the complement lemma (twice) and simulation_equalities; the
+    # probability route is read off cmd_detect's own check.
+    calls = []
+    original = qdetect.detection.detects
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (qdetect.cli, qdetect.detection, qdetect.assignment):
+        monkeypatch.setattr(module, "detects", counting)
+    assert main(["detect", ghsz_file, "M", "G_alpha"]) == 0
+    assert "[PASS] probability-route-agrees" in capsys.readouterr().out
+    assert len(calls) == 4
 
 
 def test_bad_tolerance_is_input_error(capsys):

@@ -34,9 +34,14 @@ from qdetect import (
     verify_ghsz,
     verify_scenario,
 )
-from qdetect.scenarios import CONSTRAINT_SYMBOLS
+from qdetect.scenarios import CONSTRAINT_SYMBOLS, _decode, _encode
 
-from support import ghz_vector, outer_oracle_state
+from support import (
+    ghz_vector,
+    outer_oracle_state,
+    reference_decode_pairs,
+    reference_encode_pairs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +408,7 @@ def test_load_rejects_malformed_files(tmp_path):
         load_scenario(_write(tmp_path, "{not json"))
     with pytest.raises(ScenarioFormatError):
         load_scenario(_write(tmp_path, "[1, 2]"))
-    with pytest.raises(ScenarioFormatError):
+    with pytest.raises(ScenarioFormatError, match="^duplicate key"):
         load_scenario(_write(tmp_path, '{"name": "x", "name": "y"}'))
 
     doc = _base_doc()
@@ -437,6 +442,38 @@ def test_load_rejects_malformed_files(tmp_path):
         load_scenario(_write(tmp_path, doc))
 
     doc = _base_doc()
+    doc["observables"]["E"] = []
+    with pytest.raises(ScenarioFormatError):
+        load_scenario(_write(tmp_path, doc))
+
+    # Leaves must be JSON ints or floats inside the float range; the message
+    # locates the first bad entry by row and column, or by index.
+    for leaf in (True, "1", None, {}, 10**400):
+        doc = _base_doc()
+        doc["observables"]["E"][1][0] = [0.0, leaf]
+        with pytest.raises(ScenarioFormatError, match=r"observables\[E\]\[1\]\[0\]"):
+            load_scenario(_write(tmp_path, doc))
+        doc = _base_doc()
+        doc["state"]["vector"][1] = [leaf, 0.0]
+        with pytest.raises(ScenarioFormatError, match=r"state\.vector\[1\]"):
+            load_scenario(_write(tmp_path, doc))
+
+    doc = _base_doc()
+    doc["observables"]["E"][0][1] = [0.0, 0.0, 1.0]
+    with pytest.raises(ScenarioFormatError, match=r"observables\[E\]\[0\]\[1\]"):
+        load_scenario(_write(tmp_path, doc))
+
+    # Python's json refuses integers of more than 4300 digits with a
+    # ValueError that is not a JSONDecodeError.
+    text = json.dumps(_base_doc()).replace('"claims": []', '"claims": [], "x": 1' + "0" * 5000)
+    with pytest.raises(ScenarioFormatError, match="not valid JSON"):
+        load_scenario(_write(tmp_path, text))
+    # Nesting too deep for the parser is a RecursionError, also not one.
+    text = json.dumps(_base_doc()).replace('"claims": []', '"claims": ' + "[" * 10**5 + "]" * 10**5)
+    with pytest.raises(ScenarioFormatError, match="not valid JSON"):
+        load_scenario(_write(tmp_path, text))
+
+    doc = _base_doc()
     doc["claims"] = [{"kind": "teleport"}]
     with pytest.raises(ScenarioFormatError):
         load_scenario(_write(tmp_path, doc))
@@ -451,6 +488,11 @@ def test_load_rejects_wrong_dimension(tmp_path):
     doc = _base_doc()
     doc["dim"] = 3
     with pytest.raises(DimensionError):
+        load_scenario(_write(tmp_path, doc))
+    # An empty vector is well formed, only of the wrong size.
+    doc = _base_doc()
+    doc["state"]["vector"] = []
+    with pytest.raises(DimensionError, match="does not match"):
         load_scenario(_write(tmp_path, doc))
 
 
@@ -471,3 +513,36 @@ def test_load_revalidates_operator_invariants(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_scenario(_write(tmp_path, doc))
     assert "idempotency" in str(err.value)
+
+
+def _random_pair_doc(rng, shape) -> list:
+    """Nested [re, im] pairs mixing floats, -0.0, 0.0 and ints of every size."""
+    pool = [0, -0.0, 0.0, 1, -7, 2**53 + 1, -(2**63) - 5, 10**300 + 3, 1e-300, -1.5e308]
+    size = int(np.prod(shape))
+    picks = rng.integers(0, 2 * len(pool), size)
+    flat = [pool[k] if k < len(pool) else x for k, x in zip(picks, rng.normal(size=size).tolist())]
+    return np.array(flat, dtype=object).reshape(shape).tolist()
+
+
+def test_decode_matches_per_entry_reference():
+    rng = np.random.default_rng(404)
+    for dim in (1, 2, 3, 8, 17):
+        for ndim in (1, 2):
+            doc = _random_pair_doc(rng, (dim,) * ndim + (2,))
+            got = _decode(doc, dim, "m", ndim)
+            want = reference_decode_pairs(doc, ndim)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_encode_matches_per_entry_reference():
+    rng = np.random.default_rng(405)
+    arrays = [p.matrix.array for p in build_ghsz().observables.values()]
+    arrays.append(build_ghsz().state_vector)
+    for dim in (1, 2, 5, 16):
+        for shape in ((dim,), (dim, dim)):
+            doc = _random_pair_doc(rng, shape + (2,))
+            arrays.append(reference_decode_pairs(doc, len(shape)))
+    for a in arrays:
+        # json.dumps tells -0.0 from 0.0 and 1 from 1.0, which == does not.
+        assert json.dumps(_encode(a)) == json.dumps(reference_encode_pairs(a))
