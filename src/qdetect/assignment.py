@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import (
     UndefinedConditionalError,
     ValidationError,
 )
-from .numerics import CMatrix, DEFAULT_TOL, Tolerance, identity
+from .numerics import CMatrix, DEFAULT_TOL, Tolerance, identity, trace
 from .observables import (
     DensityOperator,
     Projection,
@@ -154,6 +154,18 @@ def simulation_equalities(
     Under detection, Tr(rho.T) = Tr(rho.E), so each pairing is either defined
     on both sides or undefined on both.
     """
+    _require_commute_with(f_list, tol.gate(t.dim), detector=t, detected=e)
+    return _simulation_equalities(t, e, rho, f_list, tol)
+
+
+def _simulation_equalities(
+    t: Projection,
+    e: Projection,
+    rho: DensityOperator,
+    f_list: Sequence[Projection],
+    tol: Tolerance,
+) -> tuple[SimulationEquality, ...]:
+    """simulation_equalities for F already known to commute with T and E."""
     check = detects(t, e, rho, tol)
     if not check.holds:
         raise PreconditionError(
@@ -162,7 +174,6 @@ def simulation_equalities(
             f"state defect={check.state_equal_defect:.3e}"
         )
     gate = tol.gate(t.dim)
-    _require_commute_with(f_list, gate, detector=t, detected=e)
     results = []
     for i, f in enumerate(f_list):
         notes = []
@@ -335,13 +346,19 @@ class JointDistribution:
         )
 
 
-def _prefix_products(m: CMatrix, factors, prefix=()) -> Iterator[tuple[tuple, CMatrix]]:
-    """Every (omega, m.F_1[omega_1]...F_n[omega_n]), depth first, outcome 0 first."""
-    if len(prefix) == len(factors):
-        yield prefix, m
-    else:
-        for w, f in enumerate(factors[len(prefix)]):
-            yield from _prefix_products(m @ f, factors, prefix + (w,))
+def _outcome_tree(m: CMatrix, factors, cut: float, prefix=()) -> Iterator[tuple[tuple, CMatrix]]:
+    """(omega, m.F_1[omega_1]...F_k[omega_k]) for the leaves of the outcome tree.
+
+    The walk is depth first, outcome 0 first. A prefix whose trace is at most
+    `cut` in absolute value is yielded in place of its subtree: every atom
+    below it lies in [0, that trace].
+    """
+    for w, f in enumerate(factors[len(prefix)]):
+        child, omega = m @ f, prefix + (w,)
+        if len(omega) == len(factors) or abs(trace(child)) <= cut:
+            yield omega, child
+        else:
+            yield from _outcome_tree(child, factors, cut, omega)
 
 
 def joint_distribution(
@@ -353,9 +370,11 @@ def joint_distribution(
 
     The atom for outcome vector omega is Tr(rho . prod_i E_i^(omega_i)) with
     E^1 = E and E^0 = I - E. A depth-first walk shares each prefix's partial
-    product among the atoms below it: 2^(n+1) - 2 products, with one branch
-    in memory. Everything must commute pairwise, so the product order is
-    immaterial and each atom is a genuine probability.
+    product among the atoms below it, with one branch in memory. It stops
+    below a prefix of trace at most eig_cut / 2, whose atoms would all be
+    clamped to zero: two products per expanded node, at most 2^(n+1) - 2.
+    Everything must commute pairwise, so the product order is immaterial and
+    each atom is a genuine probability.
     """
     if not observables:
         raise PreconditionError("joint distribution needs at least one observable")
@@ -382,12 +401,17 @@ def joint_distribution(
     factors = [(complement(p).matrix, p.matrix) for p in observables]
     raw: dict[tuple[int, ...], float] = {}
     total = 0.0
-    for omega, m in _prefix_products(rho.matrix, factors):
+    for omega, m in _outcome_tree(rho.matrix, factors, tol.eig_cut / 2):
         p = _real_trace("joint atom", gate * (2 ** len(observables)), m)
         if p < -gate:
             raise LemmaViolationError(f"joint atom {omega} came out {p!r}")
-        raw[omega] = p
         total += p
+        if len(omega) == len(observables):
+            raw[omega] = p
+        else:
+            # A pruned prefix: its atoms are clamped to zero below anyway.
+            for rest in product((0, 1), repeat=len(observables) - len(omega)):
+                raw[omega + rest] = 0.0
     if abs(total - 1.0) > gate * (2 ** len(observables)):
         raise LemmaViolationError(f"joint atoms sum to {total!r}, not 1")
 

@@ -20,10 +20,10 @@ import sys
 from typing import Optional, Sequence
 
 from .assignment import (
+    _simulation_equalities,
     assignment_probs,
     check_C1,
     joint_distribution,
-    simulation_equalities,
 )
 from .detection import complement_lemma_check, detects
 from .ensemble import check_support_statements, detection_frequency_audit, sample_ensemble
@@ -118,7 +118,8 @@ def cmd_detect(path: str, t_name: str, e_name: str, tol: Tolerance) -> Report:
             and commutes(p, t, tol)
             and commutes(p, e, tol)
         ]
-        for sim in simulation_equalities(t, e, rho, compatible, tol):
+        # The filter above is the commutation check simulation_equalities makes.
+        for sim in _simulation_equalities(t, e, rho, compatible, tol):
             defined = [
                 d
                 for d in (sim.defect_outcome1, sim.defect_outcome0)

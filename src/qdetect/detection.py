@@ -21,12 +21,11 @@ from .errors import (
     LemmaViolationError,
     PreconditionError,
 )
-from .numerics import CMatrix, DEFAULT_TOL, Tolerance, dist, eigh
+from .numerics import CMatrix, DEFAULT_TOL, Tolerance, dist, eigh, trace
 from .observables import (
     DensityOperator,
     Projection,
-    _real_trace,
-    _rho_trace,
+    _real,
     commutator_defect,
     complement,
 )
@@ -67,20 +66,24 @@ def detects(
     gate = tol.gate(t.dim)
     c_defect = commutator_defect(t.matrix, e.matrix)
     commutes = c_defect <= gate
-    s_defect = dist(e.matrix @ rho.matrix, t.matrix @ rho.matrix)
+    t_rho, e_rho = t.matrix @ rho.matrix, e.matrix @ rho.matrix
+    s_defect = dist(e_rho, t_rho)
     holds = commutes and s_defect <= gate
 
-    factors_10 = (rho.matrix, t.matrix, complement(e).matrix)
-    factors_01 = (rho.matrix, complement(t).matrix, e.matrix)
+    # rho, T and E are Hermitian, so rho.T = (T.rho)^dagger and T'^T = conj(T'):
+    # Tr(rho.T.E') = sum conj(T.rho) o E' and Tr(rho.T'.E) = sum (E.rho) o conj(T'),
+    # O(d^2) sums of the two products just taken.
+    raw_10 = complex(np.vdot(t_rho.array, complement(e).matrix.array))
+    raw_01 = complex(np.vdot(complement(t).matrix.array, e_rho.array))
     if commutes:
         # Traces of rho against genuine projections: real up to float noise.
-        d10 = min(max(_real_trace("Tr(rho.T.E')", gate, *factors_10), 0.0), 1.0)
-        d01 = min(max(_real_trace("Tr(rho.T'.E)", gate, *factors_01), 0.0), 1.0)
+        d10 = min(max(_real("Tr(rho.T.E')", gate, raw_10), 0.0), 1.0)
+        d01 = min(max(_real("Tr(rho.T'.E)", gate, raw_01), 0.0), 1.0)
     else:
-        d10 = abs(_rho_trace(*factors_10))
-        d01 = abs(_rho_trace(*factors_01))
+        d10 = abs(raw_10)
+        d01 = abs(raw_01)
 
-    p1 = _rho_trace(rho.matrix, t.matrix).real
+    p1 = trace(t_rho).real
     note = ""
     if holds and p1 <= gate:
         note = "outcome 1 has probability ~0; the probability reading is vacuous on that side"

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError, ValidationError
 
-# Largest dimension a tensor product may produce. Desk scale, not HPC scale.
+# Largest dimension of any matrix. Desk scale, not HPC scale.
 MAX_DIM = 4096
 
 
@@ -49,22 +49,37 @@ DEFAULT_TOL = Tolerance()
 class CMatrix:
     """Immutable square complex matrix.
 
-    Wraps a read-only complex128 array. Construction validates squareness and
-    finiteness; everything downstream may then assume both.
+    Wraps a read-only complex128 array. Construction validates squareness,
+    the MAX_DIM cap and finiteness; everything downstream may then assume
+    all three. The shape is checked before any entry is copied.
     """
 
     __slots__ = ("_a",)
 
     def __init__(self, entries) -> None:
-        a = np.array(entries, dtype=np.complex128, copy=True)
+        a = np.asarray(entries)  # no copy for an array
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] == 0:
             raise DimensionError("empty matrices are not allowed")
+        if a.shape[0] > MAX_DIM:
+            raise DimensionError(f"matrix dimension {a.shape[0]} exceeds the {MAX_DIM} limit")
+        a = np.array(a, dtype=np.complex128, copy=True)
         if not np.all(np.isfinite(a)):
             raise ValidationError("matrix entries must be finite")
         a.setflags(write=False)
         object.__setattr__(self, "_a", a)
+
+    @classmethod
+    def _trusted(cls, a: np.ndarray) -> "CMatrix":
+        """Wrap a fresh square complex128 array, finite by construction.
+
+        Takes ownership of `a` without copying or checking it.
+        """
+        a.setflags(write=False)
+        m = object.__new__(cls)
+        object.__setattr__(m, "_a", a)
+        return m
 
     @property
     def array(self) -> np.ndarray:

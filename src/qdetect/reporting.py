@@ -7,6 +7,8 @@ produce byte-identical output.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -92,12 +94,13 @@ class Report:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_csv_text(self) -> str:
-        lines = ["name,pass,residual,ref,detail"]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["name", "pass", "residual", "ref", "detail"])
         for c in self.checks:
             residual = "" if c.residual is None else repr(c.residual)
-            detail = c.detail.replace(",", ";")
-            lines.append(f"{c.name},{str(c.passed).lower()},{residual},{c.ref},{detail}")
-        return "\n".join(lines) + "\n"
+            writer.writerow([c.name, str(c.passed).lower(), residual, c.ref, c.detail])
+        return out.getvalue()
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]

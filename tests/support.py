@@ -334,3 +334,57 @@ def reference_decode_pairs(doc: list, ndim: int) -> np.ndarray:
     if ndim == 1:
         return np.array([pair(z) for z in doc], dtype=np.complex128)
     return np.array([[pair(z) for z in row] for row in doc], dtype=np.complex128)
+
+
+# Plain-numpy references for the product-saving routes: the two-product
+# commutator and every trace as the trace of its full left-to-right chain.
+# The package's values may differ from them by rounding only: at most
+# ROUTE_TOL * dim, four decades under the default gate of 1e-10 * dim (the
+# largest difference seen on pair_library is about 1e-16 * dim).
+
+ROUTE_TOL = 1e-14
+
+
+def reference_commutator_defect(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a @ b - b @ a)))
+
+
+def reference_chain_trace(*mats: np.ndarray) -> complex:
+    m = mats[0]
+    for x in mats[1:]:
+        m = m @ x
+    return complex(np.trace(m))
+
+
+def pair_library(rng: np.random.Generator, dims=(2, 3, 4, 7, 16, 33, 64, 100, 128, 256)):
+    """(T, E, F, rho) cases at each dim: detecting, commuting but not
+    detecting, self-detecting and non-commuting pairs, with F a random
+    projection that commutes with neither."""
+    for dim in dims:
+        cases = [
+            random_detecting_triple(rng, dim),
+            random_commuting_nondetecting_triple(rng, dim),
+            (*random_commuting_pair(rng, dim), random_density(rng, dim)),
+            (random_projection(rng, dim), random_projection(rng, dim), random_density(rng, dim)),
+        ]
+        t = random_projection(rng, dim)
+        cases.append((t, t, random_density(rng, dim)))
+        for t, e, rho in cases:
+            yield t, e, random_projection(rng, dim), rho
+
+
+def count_products(monkeypatch) -> list:
+    """Record the left factor of every CMatrix product from now on.
+
+    numerics.mul multiplies through CMatrix.__matmul__ too, so this counts
+    every dense product the package makes.
+    """
+    products = []
+    matmul = CMatrix.__matmul__
+
+    def counting(self, other):
+        products.append(self)
+        return matmul(self, other)
+
+    monkeypatch.setattr(CMatrix, "__matmul__", counting)
+    return products

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from qdetect import (
     CMatrix,
     CoMeasurabilityError,
     DensityOperator,
+    DEFAULT_TOL,
     DimensionError,
+    LemmaViolationError,
     OrthogonalityError,
     PreconditionError,
     Projection,
@@ -37,6 +41,10 @@ from support import (
     random_detecting_quad,
     random_detecting_triple,
     random_projection,
+    ROUTE_TOL,
+    count_products,
+    pair_library,
+    reference_chain_trace,
     reference_joint_atoms,
     refine_inside,
     spectral_atoms,
@@ -361,20 +369,85 @@ def test_joint_distribution_equals_per_atom_chain():
                 assert 0.0 in dist.atoms.values()
 
 
+def _count_tree_products(monkeypatch, family, rho) -> int:
+    # Commutator products start from a family member and are not counted.
+    members = {id(p.matrix) for p in family}
+    products = count_products(monkeypatch)
+    joint_distribution(family, rho)
+    monkeypatch.undo()
+    return sum(1 for m in products if id(m) not in members)
+
+
 def test_joint_distribution_shares_prefix_products(monkeypatch):
-    # 2 + 4 + ... + 2^n products, one per node of the outcome tree below rho;
-    # commutator products start from a family member and are not counted.
+    # Two products per expanded node of the outcome tree: the root and every
+    # inner prefix whose mass, summed from the spectral oracle, exceeds
+    # eig_cut / 2 (a prefix below that, and all of its subtree, is skipped).
     n = 6
     family, rho = random_commuting_family(np.random.default_rng(103), 8, n, 3)
-    members = {id(p.matrix) for p in family}
-    matmul = CMatrix.__matmul__
-    products = []
+    atoms = spectral_atoms([p.matrix.array for p in family], rho.matrix.array)
+    expanded = 1 + sum(
+        1
+        for k in range(1, n)
+        for prefix in itertools.product((0, 1), repeat=k)
+        if sum(p for omega, p in atoms.items() if omega[:k] == prefix) > 0.5e-8
+    )
+    assert expanded < 2**n - 1  # the family prunes
+    assert _count_tree_products(monkeypatch, family, rho) == 2 * expanded
 
-    def counting(self, other):
-        if id(self) not in members:
-            products.append(self)
-        return matmul(self, other)
 
-    monkeypatch.setattr(CMatrix, "__matmul__", counting)
-    joint_distribution(family, rho)
-    assert len(products) == 2 ** (n + 1) - 2
+def test_joint_distribution_full_support_expands_every_node(monkeypatch):
+    # Basis vector j carries the bits of j and every one has weight, so all
+    # 2^n atoms are nonzero and nothing is pruned: 2^(n+1) - 2 products.
+    n, dim = 3, 8
+    rng = np.random.default_rng(107)
+    v = haar_unitary(rng, dim)
+    family = [
+        projection_in_basis(v, (np.arange(dim) >> (n - 1 - i)) & 1, name=f"A{i}")
+        for i in range(n)
+    ]
+    w = 1.0 + rng.random(dim)
+    rho = DensityOperator(CMatrix((v * (w / w.sum())) @ v.conj().T))
+    assert _count_tree_products(monkeypatch, family, rho) == 2 ** (n + 1) - 2
+    dist = joint_distribution(family, rho)
+    assert 0.0 not in dist.atoms.values()
+    assert (dist.atoms, dist.renormalization) == reference_joint_atoms(family, rho)
+
+
+def test_joint_distribution_checks_pruned_prefixes():
+    # A is a projection up to 4e-9 (trusted, so unvalidated): the prefix
+    # A = 0 has trace -2e-9, small enough to prune and below -gate, so it
+    # must fail the negativity check its atoms would have failed.
+    a = Projection._trusted(CMatrix(np.diag([1.0 + 4e-9, 1.0])), "A", DEFAULT_TOL)
+    b = Projection(CMatrix(np.diag([1.0, 0.0])), name="B")
+    rho = DensityOperator(CMatrix(0.5 * np.eye(2)))
+    with pytest.raises(LemmaViolationError, match=r"joint atom \(0,\)"):
+        joint_distribution([a, b], rho)
+
+
+def test_assignment_probs_takes_four_products(monkeypatch):
+    rng = np.random.default_rng(109)
+    e, f, rho = random_projection(rng, 16), random_projection(rng, 16), random_density(rng, 16)
+    products = count_products(monkeypatch)
+    assignment_probs(e, f, rho)
+    assert len(products) <= 4
+
+
+def test_assignment_probs_matches_full_chain_references():
+    # Sandwiches and Tr(rho.F) against full-chain traces: the same C3 verdict
+    # and every value within ROUTE_TOL * dim.
+    for t, e, f, rho in pair_library(np.random.default_rng(113)):
+        dim = t.dim
+        gate, bound = 1e-10 * dim, ROUTE_TOL * dim
+        for a, b in ((e, f), (t, e)):
+            am, bm, rm = a.matrix.array, b.matrix.array, rho.matrix.array
+            ac = np.eye(dim) - am
+            ef = reference_chain_trace(rm, am, bm, am).real
+            epf = reference_chain_trace(rm, ac, bm, ac).real
+            tr_f = reference_chain_trace(rm, bm).real
+            probs = assignment_probs(a, b, rho)
+            got = (probs.p_e_and_f, probs.p_eprime_and_f, probs.tr_rho_f, probs.c3_residual)
+            clamp = lambda x: min(max(x, 0.0), 1.0)  # noqa: E731
+            want = (clamp(ef), clamp(epf), clamp(tr_f), abs(tr_f - ef - epf))
+            for value, w in zip(got, want):
+                assert abs(value - w) <= bound
+            assert (probs.c3_residual <= gate) == (want[3] <= gate)

@@ -8,6 +8,7 @@ import pytest
 import qdetect.assignment
 import qdetect.cli
 import qdetect.detection
+import qdetect.observables
 from qdetect import build_example_44, save_scenario
 from qdetect.cli import main
 
@@ -136,6 +137,24 @@ def test_detect_runs_detects_four_times(ghsz_file, monkeypatch, capsys):
     assert main(["detect", ghsz_file, "M", "G_alpha"]) == 0
     assert "[PASS] probability-route-agrees" in capsys.readouterr().out
     assert len(calls) == 4
+
+
+def test_detect_checks_each_commutation_once(ghsz_file, monkeypatch, capsys):
+    # detects (four calls, one commutator each) and the candidate filter,
+    # which checks each other observable against T, then E; the 3 F it
+    # keeps are not checked again by the simulation equalities.
+    calls = []
+    original = qdetect.observables.commutator_defect
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    for module in (qdetect.observables, qdetect.detection):
+        monkeypatch.setattr(module, "commutator_defect", counting)
+    assert main(["detect", ghsz_file, "M", "G_alpha"]) == 0
+    assert capsys.readouterr().out.count("[PASS] simulation:") == 3
+    assert len(calls) == 19
 
 
 def test_bad_tolerance_is_input_error(capsys):

@@ -19,9 +19,16 @@ from qdetect import (
 )
 
 from support import (
+    ROUTE_TOL,
+    count_products,
+    pair_library,
     random_commuting_nondetecting_triple,
     random_decomposition,
+    random_density,
     random_detecting_triple,
+    random_projection,
+    reference_chain_trace,
+    reference_commutator_defect,
 )
 
 
@@ -164,3 +171,49 @@ def test_rank_one_detector_none_when_ranges_disjoint():
     assert rank_one_detector(e, f) is None
     with pytest.raises(DimensionError):
         rank_one_detector(e, Projection(CMatrix(np.eye(3))))
+
+
+def test_detects_takes_three_products(monkeypatch):
+    rng = np.random.default_rng(131)
+    cases = [
+        random_detecting_triple(rng, 16),
+        random_commuting_nondetecting_triple(rng, 16),
+        (random_projection(rng, 16), random_projection(rng, 16), random_density(rng, 16)),
+    ]
+    for t, e, rho in cases:
+        products = count_products(monkeypatch)
+        detects(t, e, rho)
+        monkeypatch.undo()
+        assert len(products) <= 3
+
+
+def test_detects_matches_full_chain_references():
+    # Each field against the two-product commutator and full-chain traces:
+    # the same verdict at the gate, and within ROUTE_TOL * dim.
+    for t, e, _, rho in pair_library(np.random.default_rng(137)):
+        dim = t.dim
+        gate, bound = 1e-10 * dim, ROUTE_TOL * dim
+        tm, em, rm = t.matrix.array, e.matrix.array, rho.matrix.array
+        one = np.eye(dim)
+        comm = reference_commutator_defect(tm, em)
+        state = float(np.max(np.abs(em @ rm - tm @ rm)))
+        r10 = reference_chain_trace(rm, tm, one - em)
+        r01 = reference_chain_trace(rm, one - tm, em)
+        if comm <= gate:
+            d10, d01 = (min(max(r.real, 0.0), 1.0) for r in (r10, r01))
+        else:
+            d10, d01 = abs(r10), abs(r01)
+        p1 = min(max(reference_chain_trace(rm, tm).real, 0.0), 1.0)
+        check = detects(t, e, rho)
+        got = (
+            check.commutator_defect,
+            check.state_equal_defect,
+            check.discord_10,
+            check.discord_01,
+            check.outcome1_probability,
+        )
+        for value, want in zip(got, (comm, state, d10, d01, p1)):
+            assert abs(value - want) <= bound
+            assert (value <= gate) == (want <= gate)
+        assert check.commutes == (comm <= gate)
+        assert check.holds == (comm <= gate and state <= gate)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,19 @@ def test_kron_matches_bit_index_oracle():
 def test_kron_dimension_cap():
     with pytest.raises(DimensionError):
         kron(identity(MAX_DIM // 2), identity(4))
+
+
+def test_cmatrix_dimension_cap():
+    # A zero-stride view: the cap must reject it before copying any entry.
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match="exceeds"):
+            CMatrix(np.broadcast_to(0j, (MAX_DIM + 1,) * 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert CMatrix(np.broadcast_to(0j, (MAX_DIM,) * 2)).dim == MAX_DIM
 
 
 def test_kron_associative_and_bilinear():

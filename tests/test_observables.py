@@ -17,21 +17,26 @@ from qdetect import (
     dist,
     identity,
     orthogonal_sum,
+    outer,
     zeros,
 )
 from qdetect.observables import commutator_defect
 
 from support import (
+    ROUTE_TOL,
     _I2,
     _P_I,
     _P_PLUS,
     _SX,
     _SY,
+    count_products,
     haar_unitary,
+    outer_oracle_state,
     projection_in_basis,
     random_commuting_pair,
     random_density,
     random_projection,
+    reference_commutator_defect,
     tensor4,
 )
 
@@ -102,6 +107,7 @@ def test_complement_is_not_revalidated(monkeypatch):
     got = complement(e)
     assert got.name == "E'" and got.tol is e.tol
     assert np.array_equal(got.matrix.array, np.eye(2) - _P_PLUS)
+    assert not got.matrix.array.flags.writeable
     assert complement(complement(e)).name == "E''"
 
 
@@ -117,6 +123,39 @@ def test_commutes_on_scenario_pairs(ghsz):
     assert commutes(ghsz.observable("E_alpha"), ghsz.observable("F"))
     assert not commutes(ghsz.observable("E_alpha"), ghsz.observable("E_beta"))
     assert commutes(ghsz.observable("M"), ghsz.observable("G_alpha"))
+
+
+def test_commutator_defect_takes_one_product(monkeypatch):
+    rng = np.random.default_rng(149)
+    a, b = random_projection(rng, 16), random_projection(rng, 16)
+    want = reference_commutator_defect(a.matrix.array, b.matrix.array)
+    products = count_products(monkeypatch)
+    got = commutator_defect(a.matrix, b.matrix)
+    assert len(products) == 1
+    assert abs(got - want) <= ROUTE_TOL * 16
+
+
+def test_commutator_defect_reads_every_strip():
+    # A commutator living only in the last two rows and columns, at dims
+    # that end on, just past and inside a row strip.
+    for dim in (2, 64, 65, 100, 130):
+        last = np.zeros(dim)
+        last[-1] = 1.0
+        tilted = np.zeros(dim)
+        tilted[-2:] = 1.0
+        a = Projection(outer(last)).matrix
+        b = Projection(outer(tilted / np.sqrt(2.0))).matrix
+        want = reference_commutator_defect(a.array, b.array)
+        assert want == pytest.approx(0.5)
+        assert abs(commutator_defect(a, b) - want) <= ROUTE_TOL * dim
+        assert abs(commutator_defect(b, a) - want) <= ROUTE_TOL * dim
+
+
+def test_expectation_matches_full_chain_trace(ghsz):
+    rho = ghsz.state
+    for p in ghsz.observables.values():
+        want = np.trace(outer_oracle_state() @ p.matrix.array).real
+        assert abs(rho.expectation(p) - want) <= ROUTE_TOL * 16
 
 
 def test_disjoint_factor_commutators_vanish_exactly(ghsz):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 from qdetect import CheckResult, Report
@@ -59,9 +61,23 @@ def test_csv_escapes_commas_in_detail():
     text = _sample_report().to_csv_text()
     lines = text.splitlines()
     assert lines[0] == "name,pass,residual,ref,detail"
-    assert lines[2] == "beta,false,0.0025,r2,off by a; lot"
+    assert lines[2] == 'beta,false,0.0025,r2,"off by a, lot"'
     assert lines[3] == "gamma,true,,,"
     assert text.endswith("\n")
+
+
+def test_csv_rows_round_trip():
+    report = Report(command="demo")
+    names = ["plain", "a,b", 'say "hi"', "two\nlines", 'all, "of"\nthem', ""]
+    for i, name in enumerate(names):
+        report.add(name, i % 2 == 0, residual=i * 0.5, ref=f"r,{i}", detail=name[::-1])
+    report.add("none", True)
+    rows = list(csv.reader(io.StringIO(report.to_csv_text())))
+    assert rows[0] == ["name", "pass", "residual", "ref", "detail"]
+    assert rows[1:] == [
+        [c.name, str(c.passed).lower(), "" if c.residual is None else repr(c.residual), c.ref, c.detail]
+        for c in report.checks
+    ]
 
 
 def test_text_format():
