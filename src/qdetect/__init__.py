@@ -92,7 +92,6 @@ from .scenarios import (
 )
 from .ensemble import (
     Ensemble,
-    SpecimenRecord,
     check_support_statements,
     detection_frequency_audit,
     sample_ensemble,

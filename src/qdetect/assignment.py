@@ -6,17 +6,17 @@ hold". This module computes those assignment probabilities, the conditional
 probabilities they induce, the consistency conditions tying them together
 (extension of the commuting case, additivity over orthogonal families, and
 the complement sum rule), the simulation equalities that make a detector
-statistically indistinguishable from what it detects, and prefix-shared
-joint-outcome atoms for commuting families that serve as an independent
-oracle for all of the above.
+statistically indistinguishable from what it detects, and the joint-outcome
+atoms of commuting families, read off one Hermitian eigendecomposition, that
+serve as an independent oracle for all of the above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product
-from typing import Iterator, Mapping, Optional, Sequence
+from itertools import combinations
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -28,10 +28,11 @@ from .errors import (
     UndefinedConditionalError,
     ValidationError,
 )
-from .numerics import CMatrix, DEFAULT_TOL, Tolerance, identity, trace
+from .numerics import CMatrix, DEFAULT_TOL, Tolerance, eigh, identity
 from .observables import (
     DensityOperator,
     Projection,
+    _real,
     _real_trace,
     _require_commute_with,
     _require_pairwise_commuting,
@@ -155,6 +156,13 @@ def simulation_equalities(
     on both sides or undefined on both.
     """
     _require_commute_with(f_list, tol.gate(t.dim), detector=t, detected=e)
+    check = detects(t, e, rho, tol)
+    if not check.holds:
+        raise PreconditionError(
+            "simulation equalities are only claimed under detection; "
+            f"commutes={check.commutes}, "
+            f"state defect={check.state_equal_defect:.3e}"
+        )
     return _simulation_equalities(t, e, rho, f_list, tol)
 
 
@@ -165,14 +173,7 @@ def _simulation_equalities(
     f_list: Sequence[Projection],
     tol: Tolerance,
 ) -> tuple[SimulationEquality, ...]:
-    """simulation_equalities for F already known to commute with T and E."""
-    check = detects(t, e, rho, tol)
-    if not check.holds:
-        raise PreconditionError(
-            "simulation equalities are only claimed under detection; "
-            f"commutes={check.commutes}, "
-            f"state defect={check.state_equal_defect:.3e}"
-        )
+    """simulation_equalities for a detecting pair and F known to commute with both."""
     gate = tol.gate(t.dim)
     results = []
     for i, f in enumerate(f_list):
@@ -346,21 +347,6 @@ class JointDistribution:
         )
 
 
-def _outcome_tree(m: CMatrix, factors, cut: float, prefix=()) -> Iterator[tuple[tuple, CMatrix]]:
-    """(omega, m.F_1[omega_1]...F_k[omega_k]) for the leaves of the outcome tree.
-
-    The walk is depth first, outcome 0 first. A prefix whose trace is at most
-    `cut` in absolute value is yielded in place of its subtree: every atom
-    below it lies in [0, that trace].
-    """
-    for w, f in enumerate(factors[len(prefix)]):
-        child, omega = m @ f, prefix + (w,)
-        if len(omega) == len(factors) or abs(trace(child)) <= cut:
-            yield omega, child
-        else:
-            yield from _outcome_tree(child, factors, cut, omega)
-
-
 def joint_distribution(
     observables: Sequence[Projection],
     rho: DensityOperator,
@@ -369,19 +355,20 @@ def joint_distribution(
     """Joint distribution over all 2^n outcome vectors.
 
     The atom for outcome vector omega is Tr(rho . prod_i E_i^(omega_i)) with
-    E^1 = E and E^0 = I - E. A depth-first walk shares each prefix's partial
-    product among the atoms below it, with one branch in memory. It stops
-    below a prefix of trace at most eig_cut / 2, whose atoms would all be
-    clamped to zero: two products per expanded node, at most 2^(n+1) - 2.
-    Everything must commute pairwise, so the product order is immaterial and
-    each atom is a genuine probability.
+    E^1 = E and E^0 = I - E. Everything must commute pairwise, so each atom
+    is a genuine probability. Then H = sum_i 2^(n-1-i) E_i has integer
+    eigenvalues, and on each eigenvector the members' outcomes are the bits
+    of its eigenvalue, first member most significant. One eigh of H gives
+    the atoms as per-code sums of diag(V^dagger.rho.V): with the pairwise
+    commutation check, n(n-1)/2 + 1 dense products whatever the support.
+    An eigenvalue farther than gate * 2^n from a code in [0, 2^n) raises.
     """
     if not observables:
         raise PreconditionError("joint distribution needs at least one observable")
-    if len(observables) > MAX_FAMILY:
+    n = len(observables)
+    if n > MAX_FAMILY:
         raise PreconditionError(
-            f"family of {len(observables)} observables would need "
-            f"2^{len(observables)} atoms; the limit is {MAX_FAMILY}"
+            f"family of {n} observables would need 2^{n} atoms; the limit is {MAX_FAMILY}"
         )
     dim = rho.dim
     for p in observables:
@@ -390,6 +377,7 @@ def joint_distribution(
                 f"dimension mismatch: {p.name or '?'}={p.dim}, rho={dim}"
             )
     gate = tol.gate(dim)
+    bound = gate * 2**n
     names = tuple(
         p.name if p.name else f"obs{i}" for i, p in enumerate(observables)
     )
@@ -398,33 +386,40 @@ def joint_distribution(
     if len(set(names)) != len(names):
         raise ValidationError(f"observable names must be unique, got {names}")
 
-    factors = [(complement(p).matrix, p.matrix) for p in observables]
-    raw: dict[tuple[int, ...], float] = {}
-    total = 0.0
-    for omega, m in _outcome_tree(rho.matrix, factors, tol.eig_cut / 2):
-        p = _real_trace("joint atom", gate * (2 ** len(observables)), m)
-        if p < -gate:
-            raise LemmaViolationError(f"joint atom {omega} came out {p!r}")
-        total += p
-        if len(omega) == len(observables):
-            raw[omega] = p
-        else:
-            # A pruned prefix: its atoms are clamped to zero below anyway.
-            for rest in product((0, 1), repeat=len(observables) - len(omega)):
-                raw[omega + rest] = 0.0
-    if abs(total - 1.0) > gate * (2 ** len(observables)):
+    h = sum(2.0 ** (n - 1 - i) * m.array for i, m in enumerate(mats))
+    # Validation leaves each member Hermitian only up to the gate; decompose
+    # the Hermitian part of H rather than the one triangle eigh reads.
+    w, v = eigh(CMatrix._trusted(0.5 * (h + h.conj().T)), tol)
+    codes = np.rint(w)
+    bad = (np.abs(w - codes) > bound) | (codes < 0) | (codes >= 2**n)
+    if bad.any():
+        raise LemmaViolationError(
+            f"eigenvalue {float(w[bad][0])!r} of sum_i 2^(n-1-i) E_i is no outcome "
+            f"code in [0, {2**n}) within {bound:.3e}"
+        )
+    codes = codes.astype(np.intp)
+    diag = np.einsum("ij,ij->j", v.conj(), (rho.matrix @ CMatrix._trusted(v)).array)
+    re = np.bincount(codes, weights=diag.real, minlength=2**n)
+    im = np.bincount(codes, weights=diag.imag, minlength=2**n)
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    omegas = list(map(tuple, bits.tolist()))
+
+    worst = int(np.argmax(np.abs(im)))
+    _real(f"joint atom {omegas[worst]}", bound, complex(re[worst], im[worst]))
+    low = int(np.argmin(re))
+    if re[low] < -gate:
+        raise LemmaViolationError(f"joint atom {omegas[low]} came out {float(re[low])!r}")
+    total = float(re.sum())
+    if abs(total - 1.0) > bound:
         raise LemmaViolationError(f"joint atoms sum to {total!r}, not 1")
 
-    clamped = {
-        omega: (0.0 if abs(p) <= tol.eig_cut else p) for omega, p in raw.items()
-    }
-    mass = sum(clamped.values())
+    clamped = np.where(np.abs(re) <= tol.eig_cut, 0.0, re)
+    mass = float(clamped.sum())
     if mass <= 0.0:
         raise LemmaViolationError("all joint atoms were clamped to zero")
-    atoms = {omega: p / mass for omega, p in clamped.items()}
     return JointDistribution(
         observables=tuple(observables),
         names=names,
-        atoms=atoms,
+        atoms=dict(zip(omegas, (clamped / mass).tolist())),
         renormalization=mass,
     )

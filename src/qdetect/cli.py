@@ -25,7 +25,7 @@ from .assignment import (
     check_C1,
     joint_distribution,
 )
-from .detection import complement_lemma_check, detects
+from .detection import _complement_lemma, detects
 from .ensemble import check_support_statements, detection_frequency_audit, sample_ensemble
 from .errors import ToolkitError
 from .numerics import Tolerance
@@ -104,7 +104,7 @@ def cmd_detect(path: str, t_name: str, e_name: str, tol: Tolerance) -> Report:
         ref="detection:holds",
         detail=check.note,
     )
-    lemma = complement_lemma_check(t, e, rho, tol)
+    lemma = _complement_lemma(t, e, rho, tol, check.holds)
     report.add(
         name="complement-lemma",
         passed=lemma == check.holds,
@@ -118,7 +118,8 @@ def cmd_detect(path: str, t_name: str, e_name: str, tol: Tolerance) -> Report:
             and commutes(p, t, tol)
             and commutes(p, e, tol)
         ]
-        # The filter above is the commutation check simulation_equalities makes.
+        # check.holds and the filter above are the preconditions
+        # simulation_equalities checks.
         for sim in _simulation_equalities(t, e, rho, compatible, tol):
             defined = [
                 d

@@ -10,8 +10,7 @@ An ensemble is stored in columns: `index` holds the atom index of each
 record and `table` the 0/1 outcome vector of each atom, one row per atom in
 the order of the distribution's atoms (lexicographic, first member most
 significant). Counts, the discordance audit and certification all work from
-the per-atom record counts and masks over the table; `records`, the
-per-record view, is only built when it is read.
+the per-atom record counts and masks over the table.
 
 Sampling is counter-based: record i consumes the first draw of Philox
 counter block i, so the ensemble depends only on (dist, n, seed). The draw
@@ -45,14 +44,6 @@ MIN_EXPECTED_COUNT = 10.0
 
 # Records formatted per write in Ensemble.to_csv; bounds the bytes held at once.
 _CSV_CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class SpecimenRecord:
-    """One measured specimen: an id and a 0/1 outcome per family member."""
-
-    id: int
-    outcomes: dict[str, int]
 
 
 def _atom_table(dist: JointDistribution) -> np.ndarray:
@@ -117,15 +108,6 @@ class Ensemble:
     def atom_counts(self) -> np.ndarray:
         """Number of records in each atom, aligned with the rows of `table`."""
         return _read_only(np.bincount(self.index, minlength=len(self.table)))
-
-    @cached_property
-    def records(self) -> tuple[SpecimenRecord, ...]:
-        """The per-record view, built on first access."""
-        rows = [dict(zip(self.family, row)) for row in self.table.tolist()]
-        return tuple(
-            SpecimenRecord(id=i, outcomes=dict(rows[a]))
-            for i, a in enumerate(self.index.tolist())
-        )
 
     def _column(self, name: str) -> np.ndarray:
         if name not in self.family:
@@ -230,11 +212,12 @@ def check_support_statements(
 ) -> Report:
     """Certify the ensemble against the distribution it was drawn from.
 
-    Exact checks: outcomes partition each extension (every record has a 0/1
-    value for every family member), zero-probability atoms are unpopulated,
-    and mutually exclusive pairs never co-occur. Statistical checks: every
-    sufficiently expected atom is populated, and all atom frequencies sit
-    within z standard deviations of their probabilities.
+    Exact checks: zero-probability atoms are unpopulated, and mutually
+    exclusive pairs never co-occur. That outcomes partition each extension
+    needs no check: an Ensemble holds a 0/1 value per record and member by
+    construction. Statistical checks: every sufficiently expected atom is
+    populated, and all atom frequencies sit within z standard deviations of
+    their probabilities.
     """
     if ens.family != dist.names:
         raise ValidationError(
@@ -248,17 +231,6 @@ def check_support_statements(
     n = ens.n
     k = len(ens.family)
     counts = ens.atom_counts
-
-    for col, name in enumerate(ens.family):
-        column = ens.table[:, col]
-        split = int(counts[(column == 0) | (column == 1)].sum())
-        report.add(
-            name=f"partition:{name}",
-            passed=split == n,
-            residual=float(n - split),
-            ref="support:partition",
-            detail="every specimen lies in exactly one extension",
-        )
 
     # Record counts keyed by outcome code, so the ensemble's atom order need
     # not match the distribution's.

@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from qdetect import CMatrix, DensityOperator, Projection, SpecimenRecord
+from qdetect import CMatrix, DensityOperator, Projection
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -255,7 +255,8 @@ def spectral_atoms(mats, rho, bit_tol: float = 1e-6) -> dict:
 
 
 def reference_records(dist, n: int, seed: int) -> list:
-    """Records drawn one by one: first Philox word per block, inverse CDF."""
+    """(id, {name: bit}) records drawn one by one: first Philox word per
+    block, inverse CDF."""
     u = np.random.Generator(np.random.Philox(key=seed)).random(4 * n)[::4]
     keys = list(dist.atoms)
     cum = np.cumsum([dist.atoms[k] for k in keys])
@@ -263,11 +264,7 @@ def reference_records(dist, n: int, seed: int) -> list:
     records = []
     for i in range(n):
         atom = keys[int(np.searchsorted(cum, u[i], side="right"))]
-        records.append(
-            SpecimenRecord(
-                id=i, outcomes={name: int(b) for name, b in zip(dist.names, atom)}
-            )
-        )
+        records.append((i, {name: int(b) for name, b in zip(dist.names, atom)}))
     return records
 
 
@@ -275,24 +272,24 @@ def reference_csv_bytes(family, records) -> bytes:
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["id", *family])
-    for r in records:
-        writer.writerow([r.id, *(r.outcomes[name] for name in family)])
+    for i, outcomes in records:
+        writer.writerow([i, *(outcomes[name] for name in family)])
     return out.getvalue().encode("utf-8")
 
 
 def reference_count_outcome(records, name: str, bit: int) -> int:
-    return sum(1 for r in records if r.outcomes[name] == bit)
+    return sum(1 for _, outcomes in records if outcomes[name] == bit)
 
 
 def reference_count_atom(records, family, omega) -> int:
     key = tuple(int(w) for w in omega)
     return sum(
-        1 for r in records if tuple(r.outcomes[name] for name in family) == key
+        1 for _, outcomes in records if tuple(outcomes[name] for name in family) == key
     )
 
 
 def reference_audit(records, t_name: str, e_name: str) -> tuple[int, int]:
-    discordant = sum(1 for r in records if r.outcomes[t_name] != r.outcomes[e_name])
+    discordant = sum(1 for _, outcomes in records if outcomes[t_name] != outcomes[e_name])
     return discordant, len(records) - discordant
 
 

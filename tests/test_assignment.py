@@ -1,4 +1,3 @@
-import itertools
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from qdetect import (
     PreconditionError,
     Projection,
     UndefinedConditionalError,
+    Tolerance,
     ValidationError,
     assignment_probs,
     check_C1,
@@ -356,72 +356,91 @@ def test_joint_distribution_validations(rt):
 
 
 def test_joint_distribution_equals_per_atom_chain():
-    # Prefix-shared products must give the per-atom chain bit for bit.
+    # The eigendecomposition route agrees with the per-atom chain up to
+    # rounding, and both clamp exactly the same atoms to zero.
     rng = np.random.default_rng(101)
     for k in range(1, 8):
         for support in (1, 3, 8):
             family, rho = random_commuting_family(rng, 8, k, support)
             dist = joint_distribution(family, rho)
             atoms, mass = reference_joint_atoms(family, rho)
-            assert list(dist.atoms.items()) == list(atoms.items())
-            assert dist.renormalization == mass
+            bound = ROUTE_TOL * rho.dim
+            assert list(dist.atoms) == list(atoms)
+            for omega, p in dist.atoms.items():
+                assert (p == 0.0) == (atoms[omega] == 0.0)
+                assert abs(p - atoms[omega]) <= bound
+            assert abs(dist.renormalization - mass) <= bound
             if k >= 4:
                 assert 0.0 in dist.atoms.values()
 
 
-def _count_tree_products(monkeypatch, family, rho) -> int:
-    # Commutator products start from a family member and are not counted.
-    members = {id(p.matrix) for p in family}
-    products = count_products(monkeypatch)
-    joint_distribution(family, rho)
-    monkeypatch.undo()
-    return sum(1 for m in products if id(m) not in members)
-
-
-def test_joint_distribution_shares_prefix_products(monkeypatch):
-    # Two products per expanded node of the outcome tree: the root and every
-    # inner prefix whose mass, summed from the spectral oracle, exceeds
-    # eig_cut / 2 (a prefix below that, and all of its subtree, is skipped).
-    n = 6
-    family, rho = random_commuting_family(np.random.default_rng(103), 8, n, 3)
-    atoms = spectral_atoms([p.matrix.array for p in family], rho.matrix.array)
-    expanded = 1 + sum(
-        1
-        for k in range(1, n)
-        for prefix in itertools.product((0, 1), repeat=k)
-        if sum(p for omega, p in atoms.items() if omega[:k] == prefix) > 0.5e-8
-    )
-    assert expanded < 2**n - 1  # the family prunes
-    assert _count_tree_products(monkeypatch, family, rho) == 2 * expanded
-
-
-def test_joint_distribution_full_support_expands_every_node(monkeypatch):
-    # Basis vector j carries the bits of j and every one has weight, so all
-    # 2^n atoms are nonzero and nothing is pruned: 2^(n+1) - 2 products.
-    n, dim = 3, 8
-    rng = np.random.default_rng(107)
+def test_joint_distribution_takes_one_product_past_commutation(monkeypatch):
+    # n(n-1)/2 commutator products and rho.V, whatever the support: on a
+    # family whose state leaves most atoms empty, and on one where basis
+    # vector j carries the bits of j and every atom has mass.
+    n, dim = 6, 64
+    rng = np.random.default_rng(103)
+    sparse = random_commuting_family(rng, 8, n, 3)
     v = haar_unitary(rng, dim)
-    family = [
+    full = [
         projection_in_basis(v, (np.arange(dim) >> (n - 1 - i)) & 1, name=f"A{i}")
         for i in range(n)
     ]
     w = 1.0 + rng.random(dim)
-    rho = DensityOperator(CMatrix((v * (w / w.sum())) @ v.conj().T))
-    assert _count_tree_products(monkeypatch, family, rho) == 2 ** (n + 1) - 2
-    dist = joint_distribution(family, rho)
-    assert 0.0 not in dist.atoms.values()
-    assert (dist.atoms, dist.renormalization) == reference_joint_atoms(family, rho)
+    full_rho = DensityOperator(CMatrix((v * (w / w.sum())) @ v.conj().T))
+    for family, rho, empty in ((*sparse, True), (full, full_rho, False)):
+        products = count_products(monkeypatch)
+        dist = joint_distribution(family, rho)
+        monkeypatch.undo()
+        assert len(products) == n * (n - 1) // 2 + 1
+        assert (0.0 in dist.atoms.values()) == empty
+        atoms, mass = reference_joint_atoms(family, rho)
+        assert max(abs(p - atoms[o]) for o, p in dist.atoms.items()) <= ROUTE_TOL * rho.dim
 
 
 def test_joint_distribution_checks_pruned_prefixes():
-    # A is a projection up to 4e-9 (trusted, so unvalidated): the prefix
-    # A = 0 has trace -2e-9, small enough to prune and below -gate, so it
-    # must fail the negativity check its atoms would have failed.
+    # A is a projection up to 4e-9 (trusted, so unvalidated): H = 2A + B has
+    # the eigenvalue 3 + 8e-9, off its code by more than gate * 2^n = 8e-10.
+    # Eigenvalues outside [0, 2^n) are no outcome codes either.
     a = Projection._trusted(CMatrix(np.diag([1.0 + 4e-9, 1.0])), "A", DEFAULT_TOL)
     b = Projection(CMatrix(np.diag([1.0, 0.0])), name="B")
     rho = DensityOperator(CMatrix(0.5 * np.eye(2)))
-    with pytest.raises(LemmaViolationError, match=r"joint atom \(0,\)"):
+    with pytest.raises(LemmaViolationError, match=r"eigenvalue 3\.000000008 .* no outcome code"):
         joint_distribution([a, b], rho)
+    for diag in ([2.0, 0.0], [-1.0, 1.0]):
+        c = Projection._trusted(CMatrix(np.diag(diag)), "C", DEFAULT_TOL)
+        with pytest.raises(LemmaViolationError, match="no outcome code"):
+            joint_distribution([c], rho)
+
+
+def test_joint_distribution_checks_each_atom():
+    # States validated under a looser tolerance reach the default-tolerance
+    # atom checks: an imaginary part, a negative atom and a total off one.
+    loose = Tolerance(atol=1e-3)
+    e = Projection(CMatrix(np.diag([1.0, 0.0])), name="E")
+    cases = [
+        ([0.5 + 1e-4j, 0.5 - 1e-4j], r"joint atom \(0,\) has imaginary part -1\.000e-04"),
+        ([1.0 + 1e-4, -1e-4], r"joint atom \(0,\) came out -0\.0001"),
+        ([0.5 + 1e-4, 0.5], "joint atoms sum to"),
+    ]
+    for diag, message in cases:
+        rho = DensityOperator(CMatrix(np.diag(diag)), tol=loose)
+        with pytest.raises(LemmaViolationError, match=message):
+            joint_distribution([e], rho)
+
+
+def test_joint_distribution_accepts_near_gate_non_hermitian_members():
+    # Validation admits a Hermiticity defect up to the gate per member, and
+    # H = 2A + B doubles A's: the decomposition must take H's Hermitian part
+    # rather than refuse H or read only one of its triangles.
+    delta = 0.9 * DEFAULT_TOL.gate(2)
+    a = Projection(CMatrix(np.array([[1.0, 1j * delta], [0.0, 0.0]])), name="A")
+    b = Projection(CMatrix(np.diag([0.0, 1.0])), name="B")
+    rho = DensityOperator(CMatrix(0.5 * np.eye(2)))
+    dist = joint_distribution([a, b], rho)
+    atoms, mass = reference_joint_atoms([a, b], rho)
+    assert dist.atoms == pytest.approx(atoms, abs=ROUTE_TOL * 2)
+    assert dist.prob((1, 0)) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_assignment_probs_takes_four_products(monkeypatch):

@@ -73,7 +73,8 @@ def test_worker_count_never_changes_records(pair_dist):
     base = sample_ensemble(pair_dist, 997, seed=3, workers=1)
     for workers in (2, 3, 8):
         again = sample_ensemble(pair_dist, 997, seed=3, workers=workers)
-        assert again.records == base.records
+        np.testing.assert_array_equal(again.index, base.index)
+        np.testing.assert_array_equal(again.table, base.table)
 
 
 def test_sample_matches_manual_inverse_cdf(pair_dist):
@@ -84,9 +85,8 @@ def test_sample_matches_manual_inverse_cdf(pair_dist):
     cum = np.cumsum([pair_dist.atoms[k] for k in keys])
     cum[-1] = 1.0
     expect = [keys[i] for i in np.searchsorted(cum, u, side="right")]
-    got = [tuple(r.outcomes[name] for name in ens.family) for r in ens.records]
-    assert got == expect
-    assert [r.id for r in ens.records] == list(range(n))
+    assert ens.index.shape == (n,)
+    assert list(map(tuple, ens.table[ens.index].tolist())) == expect
 
 
 def test_zero_mass_atoms_never_sampled(detect_dist):
@@ -139,8 +139,8 @@ def test_support_statements_pass(pair_dist):
     report = check_support_statements(ens, pair_dist)
     assert report.all_passed
     names = [c.name for c in report.checks]
-    assert "partition:E_alpha" in names
-    assert "partition:F" in names
+    # Every table entry is 0 or 1 by construction: no partition checks.
+    assert not any(n.startswith("partition:") for n in names)
     assert "atom-populated:11" in names
     assert "frequency:00" in names
     # All four atoms carry mass 1/4, so no emptiness or exclusivity checks.
@@ -227,7 +227,7 @@ def test_ensemble_columns_are_read_only(pair_dist):
     with pytest.raises(ValueError):
         ens.table[0, 0] = 1
     with pytest.raises(FrozenInstanceError):
-        ens.records = ()
+        ens.index = ens.index
     assert ens.table.shape == (4, 2)
     assert [tuple(row) for row in ens.table] == list(pair_dist.atoms)
 
@@ -263,7 +263,9 @@ def test_columnar_ensemble_matches_per_record_reference(tmp_path, monkeypatch):
         ens = sample_ensemble(dist, n, seed=seed)
         ref = reference_records(dist, n, seed)
         assert ens.n == n
-        assert list(ens.records) == ref, f"case {case}"
+        assert [i for i, _ in ref] == list(range(n))
+        want = [[outcomes[name] for name in dist.names] for _, outcomes in ref]
+        np.testing.assert_array_equal(ens.table[ens.index], want, f"case {case}")
 
         path = tmp_path / f"case{case}.csv"
         ens.to_csv(path)
