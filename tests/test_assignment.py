@@ -374,28 +374,45 @@ def test_joint_distribution_equals_per_atom_chain():
                 assert 0.0 in dist.atoms.values()
 
 
-def test_joint_distribution_takes_one_product_past_commutation(monkeypatch):
-    # n(n-1)/2 commutator products and rho.V, whatever the support: on a
-    # family whose state leaves most atoms empty, and on one where basis
-    # vector j carries the bits of j and every atom has mass.
+def _joint_with_products(monkeypatch, family, rho):
+    # Runs joint_distribution under count_products: n(n-1)/2 commutator
+    # products and rho.V are expected, whatever the support; the atoms must
+    # lie within ROUTE_TOL * dim of the reference chain.
+    products = count_products(monkeypatch)
+    dist = joint_distribution(family, rho)
+    monkeypatch.undo()
+    n = len(family)
+    assert len(products) == n * (n - 1) // 2 + 1
+    atoms, mass = reference_joint_atoms(family, rho)
+    bound = ROUTE_TOL * rho.dim
+    assert max(abs(p - atoms[o]) for o, p in dist.atoms.items()) <= bound
+    assert abs(dist.renormalization - mass) <= bound
+    return dist
+
+
+def test_joint_distribution_shares_prefix_products(monkeypatch):
+    # Every atom is a per-code sum over the one rho.V product, also on a
+    # family whose state leaves most atoms empty.
+    family, rho = random_commuting_family(np.random.default_rng(103), 8, 6, 3)
+    dist = _joint_with_products(monkeypatch, family, rho)
+    assert 0.0 in dist.atoms.values()
+
+
+def test_joint_distribution_full_support_expands_every_node(monkeypatch):
+    # Basis vector j carries the bits of j and every one has weight, so all
+    # 2^n atoms are nonzero: still the one rho.V product past commutation.
     n, dim = 6, 64
-    rng = np.random.default_rng(103)
-    sparse = random_commuting_family(rng, 8, n, 3)
+    rng = np.random.default_rng(107)
     v = haar_unitary(rng, dim)
-    full = [
+    family = [
         projection_in_basis(v, (np.arange(dim) >> (n - 1 - i)) & 1, name=f"A{i}")
         for i in range(n)
     ]
     w = 1.0 + rng.random(dim)
-    full_rho = DensityOperator(CMatrix((v * (w / w.sum())) @ v.conj().T))
-    for family, rho, empty in ((*sparse, True), (full, full_rho, False)):
-        products = count_products(monkeypatch)
-        dist = joint_distribution(family, rho)
-        monkeypatch.undo()
-        assert len(products) == n * (n - 1) // 2 + 1
-        assert (0.0 in dist.atoms.values()) == empty
-        atoms, mass = reference_joint_atoms(family, rho)
-        assert max(abs(p - atoms[o]) for o, p in dist.atoms.items()) <= ROUTE_TOL * rho.dim
+    rho = DensityOperator(CMatrix((v * (w / w.sum())) @ v.conj().T))
+    dist = _joint_with_products(monkeypatch, family, rho)
+    assert len(dist.atoms) == 2**n
+    assert 0.0 not in dist.atoms.values()
 
 
 def test_joint_distribution_checks_pruned_prefixes():
