@@ -36,6 +36,7 @@ from .observables import (
     _real_trace,
     _require_commute_with,
     _require_pairwise_commuting,
+    _rho_trace,
     complement,
     orthogonal_sum,
 )
@@ -45,9 +46,9 @@ from .detection import detects
 MAX_FAMILY = 12
 
 
-def _sandwich(rho: CMatrix, e: CMatrix, f: CMatrix, gate: float, what: str = "Tr(rho.E.F.E)") -> float:
+def _sandwich(rho: CMatrix, e: CMatrix, f: CMatrix, gate: float) -> float:
     """The sandwich Tr(rho.E.F.E), real for Hermitian rho, E and F."""
-    return _real_trace(what, gate, rho, e, f, e)
+    return _real_trace("Tr(rho.E.F.E)", gate, rho, e, f, e)
 
 
 def _assert_probability(p: float, gate: float, what: str) -> float:
@@ -62,7 +63,7 @@ class AssignmentProbabilities:
     """The two sandwich probabilities for F against E and its complement.
 
     c3_residual measures how far Tr(rho.F) is from the sum of the two, and is
-    computed from the raw values before any clamping.
+    computed from unclamped traces, as 2 |Re Tr(rho.E.F) - Tr(rho.E.F.E)|.
     """
 
     p_e_and_f: float
@@ -79,23 +80,28 @@ def assignment_probs(
 ) -> AssignmentProbabilities:
     """Sandwich probabilities Tr(rho.E.F.E) and Tr(rho.E'.F.E').
 
-    f need not commute with e; that is the whole point.
+    f need not commute with e; that is the whole point. Takes two dense
+    products, X = rho.E and X.F. Since (1-E).F.(1-E) = F - E.F - F.E + E.F.E
+    for any E and F, Tr(rho.E'.F.E') = Tr(rho.F) - 2 Re Tr(rho.E.F) +
+    Tr(rho.E.F.E), and the sum-rule residual is 2 |Re Tr(rho.E.F) - Tr(rho.E.F.E)|.
+    Every trace reads its last factor as an O(d^2) sum, which needs E and F
+    Hermitian; the Projection constructor stores them exactly so.
     """
     if not (e.dim == f.dim == rho.dim):
         raise DimensionError(
             f"dimension mismatch: e={e.dim}, f={f.dim}, rho={rho.dim}"
         )
     gate = tol.gate(e.dim)
-    ep = complement(e)
-    raw_ef = _sandwich(rho.matrix, e.matrix, f.matrix, gate)
-    raw_epf = _sandwich(rho.matrix, ep.matrix, f.matrix, gate, "Tr(rho.E'.F.E')")
+    x = rho.matrix @ e.matrix
+    raw_ef = _real_trace("Tr(rho.E.F.E)", gate, x, f.matrix, e.matrix)
+    re_ef = _rho_trace(x, f.matrix).real
     raw_f = _real_trace("Tr(rho.F)", gate, rho.matrix, f.matrix)
-    residual = abs(raw_f - raw_ef - raw_epf)
+    raw_epf = raw_f - 2.0 * re_ef + raw_ef
     return AssignmentProbabilities(
         p_e_and_f=_assert_probability(raw_ef, gate, "Tr(rho.E.F.E)"),
         p_eprime_and_f=_assert_probability(raw_epf, gate, "Tr(rho.E'.F.E')"),
         tr_rho_f=_assert_probability(raw_f, gate, "Tr(rho.F)"),
-        c3_residual=residual,
+        c3_residual=2.0 * abs(re_ef - raw_ef),
     )
 
 
@@ -309,7 +315,7 @@ class JointDistribution:
 
     Atom keys are outcome bit vectors in the order of `observables`, listed
     lexicographically with the first observable most significant. Atoms whose
-    raw probability sits within eig_cut of zero are clamped to exactly zero
+    raw probability is at most eig_cut are clamped to exactly zero
     and the rest renormalized; `renormalization` records the divisor (1.0
     when nothing was clamped).
     """
@@ -386,10 +392,10 @@ def joint_distribution(
     if len(set(names)) != len(names):
         raise ValidationError(f"observable names must be unique, got {names}")
 
+    # Validation stores every member exactly Hermitian, so H is too and the
+    # one triangle eigh reads stands for the whole matrix.
     h = sum(2.0 ** (n - 1 - i) * m.array for i, m in enumerate(mats))
-    # Validation leaves each member Hermitian only up to the gate; decompose
-    # the Hermitian part of H rather than the one triangle eigh reads.
-    w, v = eigh(CMatrix._trusted(0.5 * (h + h.conj().T)), tol)
+    w, v = eigh(CMatrix._trusted(h), tol)
     codes = np.rint(w)
     bad = (np.abs(w - codes) > bound) | (codes < 0) | (codes >= 2**n)
     if bad.any():
@@ -413,7 +419,9 @@ def joint_distribution(
     if abs(total - 1.0) > bound:
         raise LemmaViolationError(f"joint atoms sum to {total!r}, not 1")
 
-    clamped = np.where(np.abs(re) <= tol.eig_cut, 0.0, re)
+    # Above dim 100 the gate exceeds eig_cut, so an atom in [-gate, -eig_cut)
+    # gets here; it is clamped like every other atom at or below eig_cut.
+    clamped = np.where(re <= tol.eig_cut, 0.0, re)
     mass = float(clamped.sum())
     if mass <= 0.0:
         raise LemmaViolationError("all joint atoms were clamped to zero")

@@ -21,12 +21,13 @@ from .errors import (
     LemmaViolationError,
     PreconditionError,
 )
-from .numerics import CMatrix, DEFAULT_TOL, Tolerance, dist, eigh, trace
+from .numerics import CMatrix, DEFAULT_TOL, Tolerance, eigh
 from .observables import (
     DensityOperator,
     Projection,
+    _commutator_defect_from,
     _real,
-    commutator_defect,
+    _rho_trace,
     complement,
 )
 
@@ -58,23 +59,39 @@ def detects(
     rho: DensityOperator,
     tol: Tolerance = DEFAULT_TOL,
 ) -> DetectionCheck:
-    """Operator-level detection test: commutation plus E.rho = T.rho."""
+    """Operator-level detection test: commutation plus E.rho = T.rho.
+
+    Takes two dense products, T.E and (E - T).rho. Every trace reads its
+    last factor as an O(d^2) sum, which needs T, E and rho Hermitian; the
+    Projection and DensityOperator constructors store them exactly so.
+    """
     if not (t.dim == e.dim == rho.dim):
         raise DimensionError(
             f"dimension mismatch: t={t.dim}, e={e.dim}, rho={rho.dim}"
         )
+    return _detects(t, e, rho, tol, t.matrix @ e.matrix)
+
+
+def _detects(
+    t: Projection, e: Projection, rho: DensityOperator, tol: Tolerance, te: CMatrix
+) -> DetectionCheck:
+    """detects(t, e, rho) given the product te = T.E of same-dimension operands."""
     gate = tol.gate(t.dim)
-    c_defect = commutator_defect(t.matrix, e.matrix)
+    c_defect = _commutator_defect_from(te)
     commutes = c_defect <= gate
-    t_rho, e_rho = t.matrix @ rho.matrix, e.matrix @ rho.matrix
-    s_defect = dist(e_rho, t_rho)
+    # E - T is finite and bounded by 2 entrywise, since T and E are projections.
+    e_minus_t = CMatrix._trusted(e.matrix.array - t.matrix.array)
+    s_defect = float(np.max(np.abs((e_minus_t @ rho.matrix).array)))
     holds = commutes and s_defect <= gate
 
-    # rho, T and E are Hermitian, so rho.T = (T.rho)^dagger and T'^T = conj(T'):
-    # Tr(rho.T.E') = sum conj(T.rho) o E' and Tr(rho.T'.E) = sum (E.rho) o conj(T'),
-    # O(d^2) sums of the two products just taken.
-    raw_10 = complex(np.vdot(t_rho.array, complement(e).matrix.array))
-    raw_01 = complex(np.vdot(complement(t).matrix.array, e_rho.array))
+    # With E' = 1 - E and T' = 1 - T, the discordances are
+    # Tr(rho.T.E') = Tr(rho.T) - Tr(rho.T.E) and Tr(rho.T'.E) = Tr(rho.E) - Tr(rho.T.E),
+    # all three O(d^2) sums; Tr(rho.T.E) = vdot(rho, T.E) for Hermitian rho.
+    tr_t = _rho_trace(rho.matrix, t.matrix)
+    tr_e = _rho_trace(rho.matrix, e.matrix)
+    tr_te = complex(np.vdot(rho.matrix.array, te.array))
+    raw_10 = tr_t - tr_te
+    raw_01 = tr_e - tr_te
     if commutes:
         # Traces of rho against genuine projections: real up to float noise.
         d10 = min(max(_real("Tr(rho.T.E')", gate, raw_10), 0.0), 1.0)
@@ -83,7 +100,7 @@ def detects(
         d10 = abs(raw_10)
         d01 = abs(raw_01)
 
-    p1 = trace(t_rho).real
+    p1 = tr_t.real
     note = ""
     if holds and p1 <= gate:
         note = "outcome 1 has probability ~0; the probability reading is vacuous on that side"

@@ -128,7 +128,12 @@ class CMatrix:
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         self._same_dim(other)
-        return CMatrix(self._a @ other._a)
+        # A product of finite matrices can still overflow; the fresh array
+        # needs no copy.
+        out = self._a @ other._a
+        if not np.all(np.isfinite(out)):
+            raise ValidationError("matrix entries must be finite")
+        return CMatrix._trusted(out)
 
 
 def identity(dim: int) -> CMatrix:

@@ -36,13 +36,31 @@ from .numerics import (
 )
 
 
+def _store_hermitian_part(op, gate: float) -> float:
+    """Hermiticity defect of op.matrix; a defect within the gate is removed.
+
+    The one-product routes (commutator defect, last-factor traces,
+    discordances) assume exactly Hermitian operands. A matrix that is
+    Hermitian only up to the gate is therefore replaced by its Hermitian
+    part (M + M^dagger) / 2, which is exactly Hermitian in floating point.
+    Exactly Hermitian input is kept as it is, and a defect above the gate is
+    left for the caller to reject.
+    """
+    herm = hermiticity_defect(op.matrix)
+    if 0.0 < herm <= gate:
+        a = op.matrix.array
+        object.__setattr__(op, "matrix", CMatrix._trusted(0.5 * (a + a.conj().T)))
+    return herm
+
+
 @dataclass(frozen=True)
 class Projection:
     """An orthogonal projection with an optional display name.
 
     Validation measures both defining defects (Hermiticity and idempotency)
     and reports whichever exceed the gate, so a broken input names every
-    violated invariant at once.
+    violated invariant at once. An admitted input that is not exactly
+    Hermitian is stored as its Hermitian part.
     """
 
     matrix: CMatrix
@@ -51,7 +69,7 @@ class Projection:
 
     def __post_init__(self) -> None:
         gate = self.tol.gate(self.matrix.dim)
-        herm = hermiticity_defect(self.matrix)
+        herm = _store_hermitian_part(self, gate)
         idem = dist(self.matrix @ self.matrix, self.matrix)
         problems = []
         if herm > gate:
@@ -87,7 +105,8 @@ class DensityOperator:
     """A state: Hermitian, unit-trace, positive semidefinite.
 
     Eigenvalues may dip below zero by at most the gate; anything worse is
-    rejected rather than silently clipped.
+    rejected rather than silently clipped. As with Projection, an admitted
+    input that is not exactly Hermitian is stored as its Hermitian part.
     """
 
     matrix: CMatrix
@@ -97,7 +116,7 @@ class DensityOperator:
     def __post_init__(self) -> None:
         gate = self.tol.gate(self.matrix.dim)
         problems = []
-        herm = hermiticity_defect(self.matrix)
+        herm = _store_hermitian_part(self, gate)
         if herm > gate:
             problems.append(f"hermiticity defect {herm:.3e}")
         tr_defect = abs(trace(self.matrix) - 1.0)
@@ -182,11 +201,18 @@ def commutator_defect(a: CMatrix, b: CMatrix) -> float:
 
     For Hermitian inputs b.a = (a.b)^dagger, so the commutator costs one
     product. Every caller passes validated projections or +-1 observables;
-    use `commutator` for anything else. The commutator is then
-    anti-Hermitian, so its entries on and right of the diagonal carry every
-    magnitude.
+    use `commutator` for anything else.
     """
-    ab = (a @ b).array
+    return _commutator_defect_from(a @ b)
+
+
+def _commutator_defect_from(product: CMatrix) -> float:
+    """commutator_defect(a, b) given the product a.b of Hermitian a and b.
+
+    The commutator a.b - (a.b)^dagger is anti-Hermitian, so its entries on
+    and right of the diagonal carry every magnitude.
+    """
+    ab = product.array
     return max(
         float(np.max(np.abs(ab[i : i + _STRIP, i:] - ab[i:, i : i + _STRIP].conj().T)))
         for i in range(0, ab.shape[0], _STRIP)
@@ -220,13 +246,15 @@ def _require_commute_with(fs: Sequence[Projection], gate: float, **fixed: Projec
 def _rho_trace(rho: CMatrix, *ops: CMatrix) -> complex:
     """Tr(rho . ops[0] . ops[1] ...), the product taken left to right.
 
-    The last factor enters through Tr(M.B) = sum of M o B^T, so k factors
-    after rho cost k - 1 products and Tr(rho.F) costs none.
+    The last factor B must be Hermitian: it enters through
+    Tr(M.B) = sum of M o B^T = vdot(B, M), so k factors after rho cost k - 1
+    products and Tr(rho.F) costs none. Every caller's last factor is a
+    validated projection; `rho` itself may be any matrix.
     """
     if not ops:
         return trace(rho)
     m = mul(rho, *ops[:-1]).array
-    return complex(np.einsum("ij,ji->", m, ops[-1].array))
+    return complex(np.vdot(ops[-1].array, m))
 
 
 def _real(what: str, gate: float, value: complex) -> float:

@@ -38,10 +38,10 @@ from .observables import (
     DensityOperator,
     PMObservable,
     Projection,
-    commutator_defect,
+    _commutator_defect_from,
     derived_projection,
 )
-from .detection import detects
+from .detection import _detects
 from .assignment import assignment_probs
 from .reporting import Report
 
@@ -396,11 +396,18 @@ def verify_scenario(scn: Scenario, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Check every declared claim of a scenario; one report entry per claim."""
     report = Report(command="verify", inputs={"scenario": scn.name})
     gate = tol.gate(scn.dim)
+    # A commutation claim and a detection claim on the same ordered pair
+    # share its product.
+    products: dict[tuple[str, str], CMatrix] = {}
+
+    def product(a: str, b: str) -> CMatrix:
+        if (a, b) not in products:
+            products[a, b] = scn.observable(a).matrix @ scn.observable(b).matrix
+        return products[a, b]
+
     for claim in scn.declared_claims:
         if isinstance(claim, CommutationClaim):
-            defect = commutator_defect(
-                scn.observable(claim.a).matrix, scn.observable(claim.b).matrix
-            )
+            defect = _commutator_defect_from(product(claim.a, claim.b))
             observed = defect <= gate
             report.add(
                 name=f"commutation:{claim.a}~{claim.b}",
@@ -410,8 +417,12 @@ def verify_scenario(scn: Scenario, tol: Tolerance = DEFAULT_TOL) -> Report:
                 detail="" if claim.expected else "expected non-commuting",
             )
         elif isinstance(claim, DetectionClaim):
-            check = detects(
-                scn.observable(claim.t), scn.observable(claim.e), scn.state, tol
+            check = _detects(
+                scn.observable(claim.t),
+                scn.observable(claim.e),
+                scn.state,
+                tol,
+                product(claim.t, claim.e),
             )
             report.add(
                 name=f"detection:{claim.t}->{claim.e}",

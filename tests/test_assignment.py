@@ -211,16 +211,16 @@ def test_simulation_equalities_checks_each_commutation_once(ghsz, monkeypatch):
     # One check inside detects plus F against T and E for each of k = 3 F:
     # 2k + 1 = 7, with conditionals bit-identical to the public cond_prob.
     calls = []
-    original = qdetect.observables.commutator_defect
+    original = qdetect.observables._commutator_defect_from
 
-    def counting(a, b):
+    def counting(product):
         calls.append(1)
-        return original(a, b)
+        return original(product)
 
     t, e = ghsz.observable("M"), ghsz.observable("G_alpha")
     fs = [ghsz.observable(n) for n in ("E_alpha", "F", "L_alpha")]
     for module in (qdetect.observables, qdetect.detection):
-        monkeypatch.setattr(module, "commutator_defect", counting)
+        monkeypatch.setattr(module, "_commutator_defect_from", counting)
     results = simulation_equalities(t, e, ghsz.state, fs)
     assert len(calls) == 7
     monkeypatch.undo()
@@ -432,11 +432,10 @@ def test_joint_distribution_checks_pruned_prefixes():
 
 def test_joint_distribution_checks_each_atom():
     # States validated under a looser tolerance reach the default-tolerance
-    # atom checks: an imaginary part, a negative atom and a total off one.
+    # atom checks: a negative atom and a total off one.
     loose = Tolerance(atol=1e-3)
     e = Projection(CMatrix(np.diag([1.0, 0.0])), name="E")
     cases = [
-        ([0.5 + 1e-4j, 0.5 - 1e-4j], r"joint atom \(0,\) has imaginary part -1\.000e-04"),
         ([1.0 + 1e-4, -1e-4], r"joint atom \(0,\) came out -0\.0001"),
         ([0.5 + 1e-4, 0.5], "joint atoms sum to"),
     ]
@@ -444,12 +443,20 @@ def test_joint_distribution_checks_each_atom():
         rho = DensityOperator(CMatrix(np.diag(diag)), tol=loose)
         with pytest.raises(LemmaViolationError, match=message):
             joint_distribution([e], rho)
+    # Validation stores a near-Hermitian state's Hermitian part, so an
+    # imaginary atom needs a state that skipped validation.
+    skewed = CMatrix(np.diag([0.5 + 1e-4j, 0.5 - 1e-4j]))
+    assert DensityOperator(skewed, tol=loose).matrix == CMatrix(0.5 * np.eye(2))
+    rho = object.__new__(DensityOperator)
+    rho.__dict__.update(matrix=skewed, name="", tol=loose)
+    with pytest.raises(LemmaViolationError, match=r"joint atom \(0,\) has imaginary part -1\.000e-04"):
+        joint_distribution([e], rho)
 
 
 def test_joint_distribution_accepts_near_gate_non_hermitian_members():
     # Validation admits a Hermiticity defect up to the gate per member, and
-    # H = 2A + B doubles A's: the decomposition must take H's Hermitian part
-    # rather than refuse H or read only one of its triangles.
+    # H = 2A + B would double A's: A is stored as its Hermitian part, so the
+    # decomposition neither refuses H nor reads only one of its triangles.
     delta = 0.9 * DEFAULT_TOL.gate(2)
     a = Projection(CMatrix(np.array([[1.0, 1j * delta], [0.0, 0.0]])), name="A")
     b = Projection(CMatrix(np.diag([0.0, 1.0])), name="B")
@@ -460,12 +467,12 @@ def test_joint_distribution_accepts_near_gate_non_hermitian_members():
     assert dist.prob((1, 0)) == pytest.approx(0.5, abs=1e-15)
 
 
-def test_assignment_probs_takes_four_products(monkeypatch):
+def test_assignment_probs_takes_two_products(monkeypatch):
     rng = np.random.default_rng(109)
     e, f, rho = random_projection(rng, 16), random_projection(rng, 16), random_density(rng, 16)
     products = count_products(monkeypatch)
     assignment_probs(e, f, rho)
-    assert len(products) <= 4
+    assert len(products) == 2
 
 
 def test_assignment_probs_matches_full_chain_references():

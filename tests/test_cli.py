@@ -4,13 +4,22 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import qdetect.assignment
 import qdetect.cli
 import qdetect.detection
 import qdetect.observables
-from qdetect import build_example_44, save_scenario
+from qdetect import (
+    CMatrix,
+    DensityOperator,
+    Projection,
+    Scenario,
+    build_example_44,
+    joint_distribution,
+    save_scenario,
+)
 from qdetect.cli import main
 
 
@@ -146,14 +155,14 @@ def test_detect_checks_each_commutation_once(ghsz_file, monkeypatch, capsys):
     # which checks each other observable against T, then E; the 3 F it
     # keeps are not checked again by the simulation equalities.
     calls = []
-    original = qdetect.observables.commutator_defect
+    original = qdetect.observables._commutator_defect_from
 
-    def counting(a, b):
+    def counting(product):
         calls.append(1)
-        return original(a, b)
+        return original(product)
 
     for module in (qdetect.observables, qdetect.detection):
-        monkeypatch.setattr(module, "commutator_defect", counting)
+        monkeypatch.setattr(module, "_commutator_defect_from", counting)
     assert main(["detect", ghsz_file, "M", "G_alpha"]) == 0
     assert capsys.readouterr().out.count("[PASS] simulation:") == 3
     assert len(calls) == 17
@@ -254,6 +263,44 @@ def test_simulate_csv_digest_is_pinned(ghsz_file, tmp_path, capsys, family, dige
     assert main(args + ["--csv-out", str(csv_path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+
+
+def test_simulate_clamps_atom_between_minus_gate_and_minus_eig_cut(tmp_path, capsys):
+    # At dim 256 the gate (2.56e-8) exceeds eig_cut (1e-8): a state with one
+    # eigenvalue -2e-8 passes validation, and its atom must be clamped to 0
+    # rather than reach the frequency band's square root.
+    dim = 256
+    weights = np.full(dim, (1.0 + 2e-8) / (dim - 1))
+    weights[1] = -2e-8
+    rho = DensityOperator(CMatrix(np.diag(weights)), name="rho")
+    bits = np.zeros(dim)
+    bits[1] = 1.0
+    e = Projection(CMatrix(np.diag(bits)), name="E")
+    assert joint_distribution([e], rho).prob((1,)) == 0.0
+    path = tmp_path / "negative.json"
+    save_scenario(Scenario("negative", dim, rho, {"E": e}), path)
+    args = ["simulate", str(path), "E", "--samples", "200"]
+    assert main(args + ["--csv-out", str(tmp_path / "x.csv")]) in (0, 1)
+    assert "[PASS] atom-empty:1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["ghsz"], "560c7a95027265b96861d044611f0f76c5107125749a488ecb1b2ff35ee13bb7"),
+        (["example44"], "e2135a49239fbd16f5a6f088101d1ec42afad5e5716cc88e3c63834acf2fa845"),
+        (["detect", "M", "G_alpha"], "c5837877cee3d51cc2387a3bf7d108431d31761cd44aade92058f2457ca52807"),
+        (["c3", "E_alpha", "E_beta"], "0a965a10f502de1c38aec27a6361b381e6893836383cfc456ccb1d706c5626b7"),
+    ],
+    ids=["ghsz", "example44", "detect", "c3"],
+)
+def test_json_report_bytes_are_pinned(ghsz_file, capsys, args, digest):
+    # A cheaper route to a residual may not move a single byte of a report.
+    if args[0] in ("detect", "c3"):
+        args = [args[0], ghsz_file, *args[1:]]
+    main(args + ["--output", "json"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_simulate_refuses_non_commuting_family(ghsz_file, tmp_path, capsys):

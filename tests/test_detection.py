@@ -8,6 +8,7 @@ from qdetect import (
     DimensionError,
     PreconditionError,
     Projection,
+    assignment_probs,
     complement,
     complement_lemma_check,
     detects,
@@ -17,6 +18,8 @@ from qdetect import (
     rank_one_detector,
     refinement_check,
 )
+from qdetect.numerics import hermiticity_defect
+from qdetect.observables import commutator_defect
 
 from support import (
     ROUTE_TOL,
@@ -173,7 +176,7 @@ def test_rank_one_detector_none_when_ranges_disjoint():
         rank_one_detector(e, Projection(CMatrix(np.eye(3))))
 
 
-def test_detects_takes_three_products(monkeypatch):
+def test_detects_takes_two_products(monkeypatch):
     rng = np.random.default_rng(131)
     cases = [
         random_detecting_triple(rng, 16),
@@ -184,7 +187,7 @@ def test_detects_takes_three_products(monkeypatch):
         products = count_products(monkeypatch)
         detects(t, e, rho)
         monkeypatch.undo()
-        assert len(products) <= 3
+        assert len(products) == 2
 
 
 def test_detects_matches_full_chain_references():
@@ -217,3 +220,61 @@ def test_detects_matches_full_chain_references():
             assert (value <= gate) == (want <= gate)
         assert check.commutes == (comm <= gate)
         assert check.holds == (comm <= gate and state <= gate)
+
+
+def test_near_gate_non_hermitian_inputs_are_stored_hermitian():
+    # Validation admits a Hermiticity defect up to the gate, which the
+    # one-product routes cannot absorb: on the raw matrices the one-product
+    # commutator misses the two-product one by far more than rounding. The
+    # constructors store the Hermitian part, and every value then matches the
+    # full-chain references on what was stored.
+    dim = 64
+    gate, bound = 1e-10 * dim, ROUTE_TOL * dim
+    rng = np.random.default_rng(167)
+    t0, e0, rho0 = random_detecting_triple(rng, dim)
+    f0 = random_projection(rng, dim)
+
+    def skewed(m, i, j):
+        # One entry off its mirror by 0.9 gate: Hermiticity defect 0.9 gate,
+        # idempotency defect at most that.
+        a = m.matrix.array.copy()
+        a[i, j] += 0.9 * gate * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        return CMatrix(a)
+
+    raw = {
+        "t": skewed(t0, 0, 5),
+        "e": skewed(e0, 7, 2),
+        "f": skewed(f0, 9, 11),
+        "rho": skewed(rho0, 3, 13),
+    }
+    one_product = commutator_defect(raw["t"], raw["e"])
+    two_product = reference_commutator_defect(raw["t"].array, raw["e"].array)
+    assert abs(one_product - two_product) > 100 * bound
+
+    t, e, f = (Projection(raw[k]) for k in ("t", "e", "f"))
+    rho = DensityOperator(raw["rho"])
+    for stored, m in ((t, raw["t"]), (e, raw["e"]), (f, raw["f"]), (rho, raw["rho"])):
+        assert hermiticity_defect(stored.matrix) == 0.0
+        assert 0.0 < dist(stored.matrix, m) <= 0.5 * gate
+    assert Projection(t.matrix).matrix is t.matrix  # Hermitian input is kept
+
+    tm, em, fm, rm = (x.matrix.array for x in (t, e, f, rho))
+    one = np.eye(dim)
+    check = detects(t, e, rho)
+    assert check.holds
+    assert abs(check.commutator_defect - reference_commutator_defect(tm, em)) <= bound
+    want_10 = reference_chain_trace(rm, tm, one - em).real
+    want_01 = reference_chain_trace(rm, one - tm, em).real
+    want_p1 = reference_chain_trace(rm, tm).real
+    assert abs(check.discord_10 - min(max(want_10, 0.0), 1.0)) <= bound
+    assert abs(check.discord_01 - min(max(want_01, 0.0), 1.0)) <= bound
+    assert abs(check.outcome1_probability - want_p1) <= bound
+
+    probs = assignment_probs(e, f, rho)
+    ef = reference_chain_trace(rm, em, fm, em).real
+    epf = reference_chain_trace(rm, one - em, fm, one - em).real
+    tr_f = reference_chain_trace(rm, fm).real
+    assert abs(probs.p_e_and_f - ef) <= bound
+    assert abs(probs.p_eprime_and_f - epf) <= bound
+    assert abs(probs.tr_rho_f - tr_f) <= bound
+    assert abs(probs.c3_residual - abs(tr_f - ef - epf)) <= bound

@@ -25,7 +25,9 @@ from qdetect import (
     build_example_44,
     build_ghsz,
     build_rt_analogue,
+    check_C3,
     commutation_projection,
+    complement,
     enumerate_constraints,
     ghsz_sign_constraints,
     load_scenario,
@@ -37,8 +39,11 @@ from qdetect import (
 from qdetect.scenarios import CONSTRAINT_SYMBOLS, _decode, _encode
 
 from support import (
+    count_products,
     ghz_vector,
     outer_oracle_state,
+    random_detecting_triple,
+    random_projection,
     reference_decode_pairs,
     reference_encode_pairs,
 )
@@ -280,6 +285,33 @@ def test_verify_scenario_flags_false_claim():
 
 # ---------------------------------------------------------------------------
 # Angle-family counterexample
+
+
+def test_dense_verify_claims_take_seven_products(monkeypatch):
+    # One product per commutation claim; the detection claim on the same
+    # pair reuses T.E and adds (E - T).rho, the other detection takes both;
+    # check_C3 takes rho.E and rho.E.G.
+    rng = np.random.default_rng(163)
+    t, e, rho = random_detecting_triple(rng, 16)
+    scn = Scenario(
+        name="dense",
+        dim=16,
+        state=rho,
+        observables={"T": t, "E": e, "F": complement(t), "G": random_projection(rng, 16)},
+        declared_claims=[
+            CommutationClaim("T", "E", expected=True),
+            CommutationClaim("T", "G", expected=False),
+            DetectionClaim("T", "E"),
+            DetectionClaim("T", "F"),
+            ConstraintClaim(ghsz_sign_constraints(), satisfiable=False),
+        ],
+    )
+    products = count_products(monkeypatch)
+    report = verify_scenario(scn)
+    check_C3(scn.observable("E"), scn.observable("G"), scn.state)
+    assert len(products) == 7
+    monkeypatch.undo()
+    assert [c.passed for c in report.checks] == [True, True, True, False, True]
 
 
 def test_example_44_structure():
