@@ -102,8 +102,13 @@ def _detects(
 
     p1 = tr_t.real
     note = ""
+    vacuous = "has probability ~0; the probability reading is vacuous on that side"
     if holds and p1 <= gate:
-        note = "outcome 1 has probability ~0; the probability reading is vacuous on that side"
+        note = f"outcome 1 {vacuous}"
+    # Tr(rho.T') is read as its own trace, not as 1 - Tr(rho.T): the state's
+    # trace is 1 only up to the gate, the scale it is judged against here.
+    elif holds and _rho_trace(rho.matrix, complement(t).matrix).real <= gate:
+        note = f"outcome 0 {vacuous}"
     return DetectionCheck(
         commutes=commutes,
         commutator_defect=c_defect,

@@ -99,6 +99,21 @@ def test_vacuous_note_when_outcome1_unreachable():
     assert "vacuous" in check.note
 
 
+def test_vacuous_note_when_outcome0_unreachable():
+    # The state lies in the range of T, so the T = 0 side never occurs.
+    gate = 1e-10 * 3
+    t = Projection(CMatrix(np.diag([1.0, 1.0, 0.0])), name="T")
+    check = detects(t, t, DensityOperator(CMatrix(np.diag([0.5, 0.5, 0.0]))))
+    assert check.holds
+    assert check.note.startswith("outcome 0 ") and "vacuous" in check.note
+    # Outcome 0 at 1.2 gate, with the trace 0.5 gate over 1 (admitted):
+    # 1 - Tr(rho.T) reads 0.7 gate, but the outcome is not vacuous.
+    rho = DensityOperator(CMatrix(np.diag([0.5, 0.5 - 0.7 * gate, 1.2 * gate])))
+    check = detects(t, t, rho)
+    assert check.holds and 1.0 - check.outcome1_probability <= gate
+    assert check.note == ""
+
+
 def test_probability_route_equivalence_sweep():
     rng = np.random.default_rng(41)
     for _ in range(60):
