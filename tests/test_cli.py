@@ -265,6 +265,28 @@ def test_simulate_csv_digest_is_pinned(ghsz_file, tmp_path, capsys, family, dige
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "family, digest",
+    [
+        (("M", "G_alpha"), "dfc62530fc4f595d1223d73cc4532843eb37dcce8ac3203febc23592cce2e9e0"),
+        (
+            ("E_alpha", "F", "G_beta", "L_alpha"),
+            "11dcf6f2b5662274d68176d0e44586408334a8122d76913963bf9419cecf8e3f",
+        ),
+    ],
+    ids=["pair", "four-members"],
+)
+def test_simulate_json_report_digest_is_pinned(
+    ghsz_file, tmp_path, monkeypatch, capsys, family, digest
+):
+    # The report echoes --csv-out, so a relative path keeps tmp paths out of it.
+    monkeypatch.chdir(tmp_path)
+    args = ["simulate", ghsz_file, *family, "--samples", "5000", "--seed", "11"]
+    assert main(args + ["--csv-out", "ens.csv", "--output", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_simulate_clamps_atom_between_minus_gate_and_minus_eig_cut(tmp_path, capsys):
     # At dim 256 the gate (2.56e-8) exceeds eig_cut (1e-8): a state with one
     # eigenvalue -2e-8 passes validation, and its atom must be clamped to 0
