@@ -309,28 +309,51 @@ def cz_property_check(
     return ok
 
 
-@dataclass(frozen=True)
+def outcome_bits(n: int) -> np.ndarray:
+    """The outcome vectors of an n-member family as a (2^n, n) uint8 array.
+
+    Row c holds the bits of the outcome code c, first member most
+    significant; outcome_code maps a row back to its code.
+    """
+    return ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def outcome_code(omega: Sequence[int]) -> int:
+    """The code whose row in outcome_bits is the outcome vector omega."""
+    code = 0
+    for w in omega:
+        code = 2 * code + int(w)
+    return code
+
+
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Joint outcome distribution of a commuting projection family.
 
-    Atom keys are outcome bit vectors in the order of `observables`, listed
-    lexicographically with the first observable most significant. Atoms whose
-    raw probability is at most eig_cut are clamped to exactly zero
-    and the rest renormalized; `renormalization` records the divisor (1.0
-    when nothing was clamped).
+    `probs` is a read-only float64 array indexed by outcome code: probs[c] is
+    the probability of the outcome vector outcome_bits(n)[c]. Atoms whose raw
+    probability is at most eig_cut are clamped to exactly zero and the rest
+    renormalized; `renormalization` records the divisor (1.0 when nothing
+    was clamped).
     """
 
     observables: tuple[Projection, ...]
     names: tuple[str, ...]
-    atoms: dict[tuple[int, ...], float]
+    probs: np.ndarray
     renormalization: float
 
     @property
     def n(self) -> int:
         return len(self.observables)
 
+    @property
+    def atoms(self) -> dict[tuple[int, ...], float]:
+        """`probs` keyed by outcome vector, in code order."""
+        omegas = map(tuple, outcome_bits(self.n).tolist())
+        return dict(zip(omegas, self.probs.tolist()))
+
     def prob(self, omega: Sequence[int]) -> float:
-        return self.atoms[tuple(int(w) for w in omega)]
+        return float(self.probs[outcome_code(omega)])
 
     def index_of(self, name: str) -> int:
         try:
@@ -340,17 +363,14 @@ class JointDistribution:
 
     def mass(self, fixed: Mapping[str | int, int]) -> float:
         """Total probability of atoms matching the fixed coordinates."""
-        pinned = {}
+        bits = outcome_bits(self.n)
+        keep = np.ones(len(self.probs), dtype=bool)
         for key, bit in fixed.items():
             idx = key if isinstance(key, int) else self.index_of(key)
             if not 0 <= idx < self.n:
                 raise ValidationError(f"observable index {idx} out of range")
-            pinned[idx] = int(bit)
-        return sum(
-            p
-            for omega, p in self.atoms.items()
-            if all(omega[i] == b for i, b in pinned.items())
-        )
+            keep &= bits[:, idx] == int(bit)
+        return float(self.probs[keep].sum())
 
 
 def joint_distribution(
@@ -407,14 +427,13 @@ def joint_distribution(
     diag = np.einsum("ij,ij->j", v.conj(), (rho.matrix @ CMatrix._trusted(v)).array)
     re = np.bincount(codes, weights=diag.real, minlength=2**n)
     im = np.bincount(codes, weights=diag.imag, minlength=2**n)
-    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    omegas = list(map(tuple, bits.tolist()))
+    bits = outcome_bits(n).tolist()
 
     worst = int(np.argmax(np.abs(im)))
-    _real(f"joint atom {omegas[worst]}", bound, complex(re[worst], im[worst]))
+    _real(f"joint atom {tuple(bits[worst])}", bound, complex(re[worst], im[worst]))
     low = int(np.argmin(re))
     if re[low] < -gate:
-        raise LemmaViolationError(f"joint atom {omegas[low]} came out {float(re[low])!r}")
+        raise LemmaViolationError(f"joint atom {tuple(bits[low])} came out {float(re[low])!r}")
     total = float(re.sum())
     if abs(total - 1.0) > bound:
         raise LemmaViolationError(f"joint atoms sum to {total!r}, not 1")
@@ -425,9 +444,11 @@ def joint_distribution(
     mass = float(clamped.sum())
     if mass <= 0.0:
         raise LemmaViolationError("all joint atoms were clamped to zero")
+    probs = clamped / mass
+    probs.flags.writeable = False
     return JointDistribution(
         observables=tuple(observables),
         names=names,
-        atoms=dict(zip(omegas, (clamped / mass).tolist())),
+        probs=probs,
         renormalization=mass,
     )

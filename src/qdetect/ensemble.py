@@ -6,11 +6,12 @@ clamped atom distribution. Because zero-probability atoms are exactly zero
 after clamping, statements like "a detecting pair never disagrees" hold
 exactly in every sample, not just statistically.
 
-An ensemble is stored in columns: `index` holds the atom index of each
-record and `table` the 0/1 outcome vector of each atom, one row per atom in
-the order of the distribution's atoms (lexicographic, first member most
-significant). Counts, the discordance audit and certification all work from
-the per-atom record counts and masks over the table.
+An ensemble is stored as one column: `index` holds the outcome code of each
+record, the same code that indexes the distribution's `probs`. Its outcome
+vector is row `index[i]` of the derived `table`, `outcome_bits(k)`: the bits
+of the code, first member most significant. Counts, the discordance audit
+and certification all work from the per-code record counts and masks over
+the table.
 
 Sampling is counter-based: record i consumes the first draw of Philox
 counter block i, so the ensemble depends only on (dist, n, seed). The draw
@@ -29,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import JointDistribution
+from .assignment import JointDistribution, outcome_bits, outcome_code
 from .errors import PreconditionError, UnknownObservableError, ValidationError
 from .reporting import Report
 
@@ -46,11 +47,6 @@ MIN_EXPECTED_COUNT = 10.0
 _CSV_CHUNK = 1 << 16
 
 
-def _atom_table(dist: JointDistribution) -> np.ndarray:
-    """The outcome vectors of the distribution's atoms, one row per atom."""
-    return np.array(list(dist.atoms), dtype=np.int64).reshape(-1, dist.n)
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.flags.writeable = False
@@ -61,33 +57,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class Ensemble:
     """An ordered collection of specimen records for one measured family.
 
-    Record i has id i and the outcome vector `table[index[i]]`; `table`
-    holds 0/1 values only.
+    Record i has id i and the outcome code `index[i]`, a code in [0, 2^k)
+    for a family of k members.
     """
 
     rho_name: str
     seed: int
     family: tuple[str, ...]
     index: np.ndarray
-    table: np.ndarray
 
     def __post_init__(self) -> None:
         index = np.asarray(self.index)
-        table = np.asarray(self.table)
         if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
             raise ValidationError("ensemble index must be a 1-D integer array")
-        if table.ndim != 2 or table.shape[1] != len(self.family):
-            raise ValidationError(
-                f"atom table of shape {table.shape} does not match family size "
-                f"{len(self.family)}"
-            )
-        if not np.all((table == 0) | (table == 1)):
-            raise ValidationError("atom table entries must be 0 or 1")
-        if index.size and not (0 <= index.min() and index.max() < len(table)):
-            raise ValidationError("ensemble index points outside the atom table")
-        index = index.astype(np.intp, copy=False)
-        object.__setattr__(self, "index", _read_only(index))
-        object.__setattr__(self, "table", _read_only(table.astype(np.uint8)))
+        if index.size and not (0 <= index.min() and index.max() < 2 ** len(self.family)):
+            raise ValidationError("ensemble index holds a code outside [0, 2^k)")
+        object.__setattr__(self, "index", _read_only(index.astype(np.intp, copy=False)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ensemble):
@@ -97,7 +82,6 @@ class Ensemble:
             and self.seed == other.seed
             and self.family == other.family
             and np.array_equal(self.index, other.index)
-            and np.array_equal(self.table, other.table)
         )
 
     @property
@@ -105,9 +89,14 @@ class Ensemble:
         return int(self.index.size)
 
     @cached_property
+    def table(self) -> np.ndarray:
+        """The 0/1 outcome vector of each code, one uint8 row per code."""
+        return _read_only(outcome_bits(len(self.family)))
+
+    @cached_property
     def atom_counts(self) -> np.ndarray:
-        """Number of records in each atom, aligned with the rows of `table`."""
-        return _read_only(np.bincount(self.index, minlength=len(self.table)))
+        """Number of records with each outcome code."""
+        return _read_only(np.bincount(self.index, minlength=2 ** len(self.family)))
 
     def _column(self, name: str) -> np.ndarray:
         if name not in self.family:
@@ -120,14 +109,13 @@ class Ensemble:
         return int(self.atom_counts[self._column(name) == bit].sum())
 
     def count_atom(self, omega: Sequence[int]) -> int:
-        key = tuple(int(w) for w in omega)
+        key = tuple(omega)
         if len(key) != len(self.family):
             raise ValidationError(
                 f"outcome vector length {len(key)} does not match family size "
                 f"{len(self.family)}"
             )
-        match = np.all(self.table == np.array(key, dtype=np.int64), axis=1)
-        return int(self.atom_counts[match].sum())
+        return int(self.atom_counts[outcome_code(key)])
 
     def to_csv(self, path) -> None:
         """Write the header and one `id,b1,...,bk` row per record, CRLF-ended.
@@ -190,7 +178,7 @@ def sample_ensemble(
         raise PreconditionError(f"seed must be a 64-bit unsigned integer, got {seed}")
     seed = int(seed)
 
-    cum = np.cumsum(np.fromiter(dist.atoms.values(), dtype=np.float64))
+    cum = np.cumsum(dist.probs)
     if abs(cum[-1] - 1.0) > 1e-9:
         raise ValidationError(f"atom distribution sums to {cum[-1]!r}, not 1")
     # Close the last bin exactly so u ~ U[0,1) can never fall off the end.
@@ -198,13 +186,7 @@ def sample_ensemble(
     # side='right': u strictly below a bin edge picks that bin, so bins of
     # width zero (clamped atoms) are unreachable.
     index = np.searchsorted(cum, _uniforms(seed, 0, n), side="right")
-    return Ensemble(
-        rho_name=rho_name,
-        seed=seed,
-        family=dist.names,
-        index=index,
-        table=_atom_table(dist),
-    )
+    return Ensemble(rho_name=rho_name, seed=seed, family=dist.names, index=index)
 
 
 def check_support_statements(
@@ -232,16 +214,9 @@ def check_support_statements(
     k = len(ens.family)
     counts = ens.atom_counts
 
-    # Record counts keyed by outcome code, so the ensemble's atom order need
-    # not match the distribution's.
-    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    codes = ens.table.astype(np.int64) @ weights
-    atom_counts = np.zeros(2**k, dtype=np.int64)
-    np.add.at(atom_counts, codes, counts)
-
-    for omega, p in dist.atoms.items():
-        label = "".join(str(w) for w in omega)
-        count = int(atom_counts[int(label, 2)])
+    # tolist() hands out Python floats, whose repr the report prints.
+    for row, p, count in zip(ens.table.tolist(), dist.probs.tolist(), counts.tolist()):
+        label = "".join(map(str, row))
         if p == 0.0:
             report.add(
                 name=f"atom-empty:{label}",
@@ -271,9 +246,7 @@ def check_support_statements(
 
     # A pair's joint mass is zero exactly when no nonzero atom has both bits
     # set: clamped atoms are >= 0, so a sum of them cannot cancel to zero.
-    massive = _atom_table(dist)[
-        np.fromiter(dist.atoms.values(), dtype=np.float64) != 0.0
-    ]
+    massive = ens.table[dist.probs != 0.0].astype(np.int64)
     joint = massive.T @ massive
     for i in range(k):
         for j in range(i + 1, k):

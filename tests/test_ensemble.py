@@ -233,18 +233,20 @@ def test_ensemble_columns_are_read_only(pair_dist):
 
 
 def test_ensemble_rejects_malformed_columns():
-    table = np.array([[0, 0], [1, 1]])
-    Ensemble("rho", 0, ("a", "b"), np.array([0, 1, 1]), table)
+    # The index holds outcome codes; the table derives from the family size.
+    ens = Ensemble("rho", 0, ("a", "b"), np.array([0, 3, 3]))
+    assert ens.table.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert ens.atom_counts.tolist() == [1, 0, 0, 2]
     with pytest.raises(ValidationError):
-        Ensemble("rho", 0, ("a", "b"), np.array([0, 2]), table)
+        Ensemble("rho", 0, ("a", "b"), np.array([0, 4]))
     with pytest.raises(ValidationError):
-        Ensemble("rho", 0, ("a", "b"), np.array([-1]), table)
+        Ensemble("rho", 0, ("a",), np.array([2]))
     with pytest.raises(ValidationError):
-        Ensemble("rho", 0, ("a",), np.array([0]), table)
+        Ensemble("rho", 0, ("a", "b"), np.array([-1]))
     with pytest.raises(ValidationError):
-        Ensemble("rho", 0, ("a", "b"), np.array([0]), np.array([[0, 2]]))
+        Ensemble("rho", 0, ("a", "b"), np.array([0.0]))
     with pytest.raises(ValidationError):
-        Ensemble("rho", 0, ("a", "b"), np.array([0.0]), table)
+        Ensemble("rho", 0, ("a", "b"), np.array([[0]]))
 
 
 def test_columnar_ensemble_matches_per_record_reference(tmp_path, monkeypatch):
