@@ -318,12 +318,26 @@ def outcome_bits(n: int) -> np.ndarray:
     return ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
 
 
-def outcome_code(omega: Sequence[int]) -> int:
-    """The code whose row in outcome_bits is the outcome vector omega."""
+def outcome_code(omega: Sequence[int], n: int) -> int:
+    """The code whose row in outcome_bits(n) is the outcome vector omega.
+
+    Raises ValidationError unless omega holds n outcomes, each 0 or 1.
+    """
+    key = tuple(omega)
+    if len(key) != n:
+        raise ValidationError(
+            f"outcome vector length {len(key)} does not match family size {n}"
+        )
     code = 0
-    for w in omega:
-        code = 2 * code + int(w)
+    for w in key:
+        code = 2 * code + _outcome(w)
     return code
+
+
+def _outcome(w: int) -> int:
+    if w not in (0, 1):
+        raise ValidationError(f"outcome {w!r} is neither 0 nor 1")
+    return int(w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,7 +367,7 @@ class JointDistribution:
         return dict(zip(omegas, self.probs.tolist()))
 
     def prob(self, omega: Sequence[int]) -> float:
-        return float(self.probs[outcome_code(omega)])
+        return float(self.probs[outcome_code(omega, self.n)])
 
     def index_of(self, name: str) -> int:
         try:
@@ -369,7 +383,7 @@ class JointDistribution:
             idx = key if isinstance(key, int) else self.index_of(key)
             if not 0 <= idx < self.n:
                 raise ValidationError(f"observable index {idx} out of range")
-            keep &= bits[:, idx] == int(bit)
+            keep &= bits[:, idx] == _outcome(bit)
         return float(self.probs[keep].sum())
 
 

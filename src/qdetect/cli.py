@@ -194,8 +194,8 @@ def cmd_simulate(
     ens = sample_ensemble(
         dist, samples, seed, rho_name=scn.name, workers=workers
     )
-    ens.to_csv(csv_out)
     report = check_support_statements(ens, dist, z)
+    ens.to_csv(csv_out)
     report.command = "simulate"
     report.inputs.update(
         {

@@ -25,7 +25,7 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import cached_property
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +42,10 @@ _WORDS_PER_BLOCK = 4
 # An existential "some record lands in this atom" is only asserted when the
 # expected count is at least this large; below it absence is plausible noise.
 MIN_EXPECTED_COUNT = 10.0
+
+# Largest ensemble sample_ensemble draws: ten times the largest run the
+# roadmap names (10^6 records), and about 320 MB of uniform draws.
+MAX_SAMPLES = 10**7
 
 # Records formatted per write in Ensemble.to_csv; bounds the bytes held at once.
 _CSV_CHUNK = 1 << 16
@@ -109,13 +113,7 @@ class Ensemble:
         return int(self.atom_counts[self._column(name) == bit].sum())
 
     def count_atom(self, omega: Sequence[int]) -> int:
-        key = tuple(omega)
-        if len(key) != len(self.family):
-            raise ValidationError(
-                f"outcome vector length {len(key)} does not match family size "
-                f"{len(self.family)}"
-            )
-        return int(self.atom_counts[outcome_code(key)])
+        return int(self.atom_counts[outcome_code(omega, len(self.family))])
 
     def to_csv(self, path) -> None:
         """Write the header and one `id,b1,...,bk` row per record, CRLF-ended.
@@ -170,8 +168,10 @@ def sample_ensemble(
     and is otherwise ignored: the draw is a single vectorized call, so the
     worker count never changes the ensemble and starts no threads.
     """
-    if n < 1:
-        raise PreconditionError(f"ensemble size must be at least 1, got {n}")
+    if not 1 <= n <= MAX_SAMPLES:
+        raise PreconditionError(
+            f"ensemble size must be at least 1 and at most {MAX_SAMPLES}, got {n}"
+        )
     if workers < 1:
         raise PreconditionError(f"worker count must be at least 1, got {workers}")
     if not (0 <= int(seed) < 2**64):
@@ -201,6 +201,8 @@ def check_support_statements(
     populated, and all atom frequencies sit within z standard deviations of
     their probabilities.
     """
+    if not (isfinite(z) and z > 0):
+        raise PreconditionError(f"z must be a finite number above 0, got {z!r}")
     if ens.family != dist.names:
         raise ValidationError(
             f"ensemble family {ens.family} does not match distribution "

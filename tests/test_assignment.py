@@ -29,7 +29,7 @@ from qdetect import (
     outer,
     simulation_equalities,
 )
-from qdetect.assignment import MAX_FAMILY
+from qdetect.assignment import MAX_FAMILY, outcome_bits, outcome_code
 
 from support import (
     haar_unitary,
@@ -305,6 +305,31 @@ def test_joint_distribution_detecting_pair_has_exact_zero_discordance(ghsz):
         dist.index_of("nope")
     with pytest.raises(ValidationError):
         dist.mass({7: 1})
+
+
+@pytest.mark.parametrize(
+    "omega", [(1, 0, 1), (1,), (2, 0), (0, -1), (0, 0.5), ("1", "0")]
+)
+def test_joint_distribution_rejects_malformed_outcome_vectors(ghsz, omega):
+    dist = joint_distribution([ghsz.observable("M"), ghsz.observable("G_alpha")], ghsz.state)
+    with pytest.raises(ValidationError):
+        dist.prob(omega)
+
+
+@pytest.mark.parametrize("fixed", [{0: 2}, {"M": -1}, {1: 0.5}])
+def test_joint_distribution_mass_rejects_non_binary_outcomes(ghsz, fixed):
+    dist = joint_distribution([ghsz.observable("M"), ghsz.observable("G_alpha")], ghsz.state)
+    with pytest.raises(ValidationError):
+        dist.mass(fixed)
+
+
+def test_outcome_code_inverts_outcome_bits():
+    for n in range(1, 6):
+        rows = outcome_bits(n)
+        assert rows.shape == (2**n, n) and rows.dtype == np.uint8
+        assert [outcome_code(row, n) for row in rows.tolist()] == list(range(2**n))
+    assert outcome_bits(3)[0b110].tolist() == [1, 1, 0]
+    assert outcome_code((True, False), 2) == 2
 
 
 def test_joint_distribution_matches_spectral_oracle():

@@ -10,6 +10,7 @@ import pytest
 import qdetect.assignment
 import qdetect.cli
 import qdetect.detection
+import qdetect.ensemble
 import qdetect.observables
 from qdetect import (
     CMatrix,
@@ -285,6 +286,31 @@ def test_simulate_json_report_digest_is_pinned(
     assert main(args + ["--csv-out", "ens.csv", "--output", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("z", ["nan", "-1", "0", "inf"])
+def test_simulate_rejects_meaningless_z(ghsz_file, tmp_path, capsys, z):
+    # NaN would reach the JSON report as a bare NaN token, which strict
+    # parsers reject; a negative z would print negative bands.
+    csv_path = tmp_path / "ens.csv"
+    args = ["simulate", ghsz_file, "M", "G_alpha", "--samples", "200"]
+    code = main(args + ["--z", z, "--csv-out", str(csv_path), "--output", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "z must be" in captured.err
+    assert not csv_path.exists()
+
+
+def test_simulate_caps_samples_before_drawing(ghsz_file, tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew before checking the sample cap")
+
+    monkeypatch.setattr(qdetect.ensemble, "_uniforms", refuse)
+    samples = str(qdetect.ensemble.MAX_SAMPLES + 1)
+    args = ["simulate", ghsz_file, "M", "G_alpha", "--samples", samples]
+    assert main(args + ["--csv-out", str(tmp_path / "x.csv")]) == 2
+    assert "at most" in capsys.readouterr().err
 
 
 def test_simulate_clamps_atom_between_minus_gate_and_minus_eig_cut(tmp_path, capsys):
