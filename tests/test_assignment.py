@@ -305,22 +305,12 @@ def test_joint_distribution_detecting_pair_has_exact_zero_discordance(ghsz):
         dist.index_of("nope")
     with pytest.raises(ValidationError):
         dist.mass({7: 1})
-
-
-@pytest.mark.parametrize(
-    "omega", [(1, 0, 1), (1,), (2, 0), (0, -1), (0, 0.5), ("1", "0")]
-)
-def test_joint_distribution_rejects_malformed_outcome_vectors(ghsz, omega):
-    dist = joint_distribution([ghsz.observable("M"), ghsz.observable("G_alpha")], ghsz.state)
-    with pytest.raises(ValidationError):
-        dist.prob(omega)
-
-
-@pytest.mark.parametrize("fixed", [{0: 2}, {"M": -1}, {1: 0.5}])
-def test_joint_distribution_mass_rejects_non_binary_outcomes(ghsz, fixed):
-    dist = joint_distribution([ghsz.observable("M"), ghsz.observable("G_alpha")], ghsz.state)
-    with pytest.raises(ValidationError):
-        dist.mass(fixed)
+    for omega in ((1, 0, 1), (1,), (2, 0), (0, -1), (0, 0.5), ("1", "0")):
+        with pytest.raises(ValidationError):
+            dist.prob(omega)
+    for fixed in ({0: 2}, {"M": -1}, {1: 0.5}):
+        with pytest.raises(ValidationError):
+            dist.mass(fixed)
 
 
 def test_outcome_code_inverts_outcome_bits():
