@@ -28,7 +28,7 @@ from .errors import (
     UndefinedConditionalError,
     ValidationError,
 )
-from .numerics import CMatrix, DEFAULT_TOL, Tolerance, eigh, identity
+from .numerics import CMatrix, DEFAULT_TOL, Tolerance, dist, eigh, identity, max_abs
 from .observables import (
     DensityOperator,
     Projection,
@@ -296,13 +296,13 @@ def cz_property_check(
 
     ok = abs(conditional(identity(e.dim)) - 1.0) <= gate
     for fi, fj in combinations([f.matrix for f in sample_f], 2):
-        if float(np.max(np.abs((fi @ fj).array))) > gate:
+        if max_abs((fi @ fj).array) > gate:
             continue
         joint = conditional(fi + fj)
         ok = ok and abs(joint - conditional(fi) - conditional(fj)) <= gate
     for f in sample_f:
         # F <= E means E absorbs F on the left.
-        if float(np.max(np.abs((e.matrix @ f.matrix - f.matrix).array))) > gate:
+        if dist(e.matrix @ f.matrix, f.matrix) > gate:
             continue
         ratio = _real_trace("Tr(rho.F)", gate, rho.matrix, f.matrix) / den
         ok = ok and abs(conditional(f.matrix) - ratio) <= gate

@@ -26,7 +26,7 @@ from .assignment import (
     joint_distribution,
 )
 from .detection import _complement_lemma, detects
-from .ensemble import check_support_statements, detection_frequency_audit, sample_ensemble
+from .ensemble import check_support_statements, check_z, detection_frequency_audit, sample_ensemble
 from .errors import ToolkitError
 from .numerics import Tolerance
 from .observables import commutes
@@ -43,9 +43,7 @@ DEFAULT_THETA = math.pi / 6.0
 
 
 def cmd_ghsz(tol: Tolerance) -> Report:
-    report = verify_ghsz(build_ghsz(), tol)
-    report.inputs.update({"tol": tol.atol, "eig_cut": tol.eig_cut})
-    return report
+    return verify_ghsz(build_ghsz(), tol)
 
 
 def cmd_detect(path: str, t_name: str, e_name: str, tol: Tolerance) -> Report:
@@ -54,16 +52,7 @@ def cmd_detect(path: str, t_name: str, e_name: str, tol: Tolerance) -> Report:
     e = scn.observable(e_name)
     rho = scn.state
     gate = tol.gate(scn.dim)
-    report = Report(
-        command="detect",
-        inputs={
-            "scenario": scn.name,
-            "t": t_name,
-            "e": e_name,
-            "tol": tol.atol,
-            "eig_cut": tol.eig_cut,
-        },
-    )
+    report = Report(command="detect", inputs={"scenario": scn.name, "t": t_name, "e": e_name})
     check = detects(t, e, rho, tol)
     report.add(
         name="commutation",
@@ -137,9 +126,7 @@ def cmd_detect(path: str, t_name: str, e_name: str, tol: Tolerance) -> Report:
 
 
 def cmd_example44(theta: float, tol: Tolerance) -> Report:
-    report = verify_example_44(theta, tol)
-    report.inputs.update({"tol": tol.atol, "eig_cut": tol.eig_cut})
-    return report
+    return verify_example_44(theta, tol)
 
 
 def cmd_c3(path: str, e_name: str, f_name: str, tol: Tolerance) -> Report:
@@ -147,16 +134,7 @@ def cmd_c3(path: str, e_name: str, f_name: str, tol: Tolerance) -> Report:
     e = scn.observable(e_name)
     f = scn.observable(f_name)
     gate = tol.gate(scn.dim)
-    report = Report(
-        command="c3",
-        inputs={
-            "scenario": scn.name,
-            "e": e_name,
-            "f": f_name,
-            "tol": tol.atol,
-            "eig_cut": tol.eig_cut,
-        },
-    )
+    report = Report(command="c3", inputs={"scenario": scn.name, "e": e_name, "f": f_name})
     probs = assignment_probs(e, f, scn.state, tol)
     report.add(
         name="sum-rule",
@@ -188,6 +166,7 @@ def cmd_simulate(
     csv_out: str = "ensemble.csv",
     z: float = 3.0,
 ) -> Report:
+    check_z(z)
     scn = load_scenario(path, tol)
     projections = [scn.observable(name) for name in family]
     dist = joint_distribution(projections, scn.state, tol)
@@ -204,8 +183,6 @@ def cmd_simulate(
             "samples": int(samples),
             "workers": int(workers),
             "csv": str(csv_out),
-            "tol": tol.atol,
-            "eig_cut": tol.eig_cut,
         }
     )
     for claim in scn.declared_claims:
@@ -345,6 +322,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ToolkitError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    report.inputs.update({"tol": tol.atol, "eig_cut": tol.eig_cut})
     rendered = {
         "json": report.to_json,
         "csv": report.to_csv_text,

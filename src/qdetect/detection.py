@@ -21,11 +21,10 @@ from .errors import (
     LemmaViolationError,
     PreconditionError,
 )
-from .numerics import CMatrix, DEFAULT_TOL, Tolerance, eigh
+from .numerics import CMatrix, DEFAULT_TOL, Tolerance, eigh, hermiticity_defect, max_abs
 from .observables import (
     DensityOperator,
     Projection,
-    _commutator_defect_from,
     _real,
     _rho_trace,
     complement,
@@ -77,11 +76,12 @@ def _detects(
 ) -> DetectionCheck:
     """detects(t, e, rho) given the product te = T.E of same-dimension operands."""
     gate = tol.gate(t.dim)
-    c_defect = _commutator_defect_from(te)
+    # [T, E] = T.E - (T.E)^dagger for Hermitian T and E.
+    c_defect = hermiticity_defect(te)
     commutes = c_defect <= gate
     # E - T is finite and bounded by 2 entrywise, since T and E are projections.
     e_minus_t = CMatrix._trusted(e.matrix.array - t.matrix.array)
-    s_defect = float(np.max(np.abs((e_minus_t @ rho.matrix).array)))
+    s_defect = max_abs((e_minus_t @ rho.matrix).array)
     holds = commutes and s_defect <= gate
 
     # With E' = 1 - E and T' = 1 - T, the discordances are

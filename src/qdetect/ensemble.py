@@ -15,8 +15,9 @@ the table.
 
 Sampling is counter-based: record i consumes the first draw of Philox
 counter block i, so the ensemble depends only on (dist, n, seed). The draw
-is one vectorized call; the worker count is accepted for compatibility and
-never changes the ensemble or starts a thread.
+is vectorized over fixed-size chunks of records, which bounds its memory;
+the worker count is accepted for compatibility and never changes the
+ensemble or starts a thread.
 """
 
 from __future__ import annotations
@@ -44,8 +45,11 @@ _WORDS_PER_BLOCK = 4
 MIN_EXPECTED_COUNT = 10.0
 
 # Largest ensemble sample_ensemble draws: ten times the largest run the
-# roadmap names (10^6 records), and about 320 MB of uniform draws.
+# roadmap names (10^6 records), and an 80 MB index of outcome codes.
 MAX_SAMPLES = 10**7
+
+# Records per call of _uniforms: bounds the transient draw at 2 MB at any n.
+_DRAW_CHUNK = 1 << 16
 
 # Records formatted per write in Ensemble.to_csv; bounds the bytes held at once.
 _CSV_CHUNK = 1 << 16
@@ -165,7 +169,7 @@ def sample_ensemble(
     """Draw n i.i.d. joint outcomes from the atom distribution.
 
     The result depends only on (dist, n, seed). `workers` must be at least 1
-    and is otherwise ignored: the draw is a single vectorized call, so the
+    and is otherwise ignored: the draw is vectorized in one thread, so the
     worker count never changes the ensemble and starts no threads.
     """
     if not 1 <= n <= MAX_SAMPLES:
@@ -185,8 +189,18 @@ def sample_ensemble(
     cum[-1] = 1.0
     # side='right': u strictly below a bin edge picks that bin, so bins of
     # width zero (clamped atoms) are unreachable.
-    index = np.searchsorted(cum, _uniforms(seed, 0, n), side="right")
+    index = np.empty(n, dtype=np.intp)
+    for start in range(0, n, _DRAW_CHUNK):
+        stop = min(n, start + _DRAW_CHUNK)
+        u = _uniforms(seed, start, stop - start)
+        index[start:stop] = np.searchsorted(cum, u, side="right")
     return Ensemble(rho_name=rho_name, seed=seed, family=dist.names, index=index)
+
+
+def check_z(z: float) -> None:
+    """Raise PreconditionError unless the band width z is finite and above 0."""
+    if not (isfinite(z) and z > 0):
+        raise PreconditionError(f"z must be a finite number above 0, got {z!r}")
 
 
 def check_support_statements(
@@ -201,8 +215,7 @@ def check_support_statements(
     populated, and all atom frequencies sit within z standard deviations of
     their probabilities.
     """
-    if not (isfinite(z) and z > 0):
-        raise PreconditionError(f"z must be a finite number above 0, got {z!r}")
+    check_z(z)
     if ens.family != dist.names:
         raise ValidationError(
             f"ensemble family {ens.family} does not match distribution "

@@ -31,6 +31,7 @@ from .numerics import (
     hermiticity_defect,
     identity,
     kernel_projector,
+    max_abs,
     mul,
     trace,
 )
@@ -191,11 +192,6 @@ def commutator(a: CMatrix, b: CMatrix) -> CMatrix:
     return a @ b - b @ a
 
 
-# Rows per strip when comparing a matrix with its adjoint: a strip and the
-# matching column block stay in cache, which halves the time at dim 512.
-_STRIP = 64
-
-
 def commutator_defect(a: CMatrix, b: CMatrix) -> float:
     """Max-abs size of [a, b] for Hermitian a and b; zero means compatible.
 
@@ -203,20 +199,7 @@ def commutator_defect(a: CMatrix, b: CMatrix) -> float:
     product. Every caller passes validated projections or +-1 observables;
     use `commutator` for anything else.
     """
-    return _commutator_defect_from(a @ b)
-
-
-def _commutator_defect_from(product: CMatrix) -> float:
-    """commutator_defect(a, b) given the product a.b of Hermitian a and b.
-
-    The commutator a.b - (a.b)^dagger is anti-Hermitian, so its entries on
-    and right of the diagonal carry every magnitude.
-    """
-    ab = product.array
-    return max(
-        float(np.max(np.abs(ab[i : i + _STRIP, i:] - ab[i:, i : i + _STRIP].conj().T)))
-        for i in range(0, ab.shape[0], _STRIP)
-    )
+    return hermiticity_defect(a @ b)
 
 
 def commutes(a: Projection, b: Projection, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -281,7 +264,9 @@ def commutation_projection(
     commutator). It equals the identity exactly when the pair commutes, and is
     the zero matrix for maximally incompatible pairs.
     """
-    c = 1j * commutator(a.matrix, b.matrix)
+    # i(AB - (AB)^dagger) from one product: exactly Hermitian in floating point.
+    ab = (a.matrix @ b.matrix).array
+    c = CMatrix._trusted(1j * (ab - ab.conj().T))
     name = ""
     if a.name and b.name:
         name = f"C({a.name},{b.name})"
@@ -293,7 +278,7 @@ def orthogonal_sum(f: Projection, g: Projection, tol: Tolerance = DEFAULT_TOL) -
 
     Orthogonality means the outcomes never co-occur: F.G must vanish.
     """
-    overlap = float(np.max(np.abs((f.matrix @ g.matrix).array)))
+    overlap = max_abs((f.matrix @ g.matrix).array)
     if overlap > tol.gate(f.dim):
         raise OrthogonalityError(
             f"projections {f.name or 'F'} and {g.name or 'G'} overlap "

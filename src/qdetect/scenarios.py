@@ -21,6 +21,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product as cartesian
 from typing import Optional, Sequence, Union
 
@@ -33,14 +34,8 @@ from .errors import (
     UnknownObservableError,
     ValidationError,
 )
-from .numerics import CMatrix, DEFAULT_TOL, MAX_DIM, Tolerance, kron, outer
-from .observables import (
-    DensityOperator,
-    PMObservable,
-    Projection,
-    _commutator_defect_from,
-    derived_projection,
-)
+from .numerics import CMatrix, DEFAULT_TOL, MAX_DIM, Tolerance, hermiticity_defect, kron, outer
+from .observables import DensityOperator, PMObservable, Projection, derived_projection
 from .detection import _detects
 from .assignment import assignment_probs
 from .reporting import Report
@@ -398,16 +393,14 @@ def verify_scenario(scn: Scenario, tol: Tolerance = DEFAULT_TOL) -> Report:
     gate = tol.gate(scn.dim)
     # A commutation claim and a detection claim on the same ordered pair
     # share its product.
-    products: dict[tuple[str, str], CMatrix] = {}
-
+    @cache
     def product(a: str, b: str) -> CMatrix:
-        if (a, b) not in products:
-            products[a, b] = scn.observable(a).matrix @ scn.observable(b).matrix
-        return products[a, b]
+        return scn.observable(a).matrix @ scn.observable(b).matrix
 
     for claim in scn.declared_claims:
         if isinstance(claim, CommutationClaim):
-            defect = _commutator_defect_from(product(claim.a, claim.b))
+            # The commutator of Hermitian A and B is A.B - (A.B)^dagger.
+            defect = hermiticity_defect(product(claim.a, claim.b))
             observed = defect <= gate
             report.add(
                 name=f"commutation:{claim.a}~{claim.b}",
@@ -695,46 +688,60 @@ def _decode(doc, dim: int, where: str, ndim: int) -> np.ndarray:
     return values.view(np.complex128)[..., 0]
 
 
+# The JSON types of scenario fields, by the name error messages give them.
+_JSON_TYPES = {
+    "a string": lambda v: isinstance(v, str),
+    "true or false": lambda v: isinstance(v, bool),
+    "the integer 1 or -1": lambda v: type(v) is int and v in (1, -1),
+    "an array of strings": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+    "an array of objects": lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
+}
+
+
+def _field(doc: dict, key: str, where: str, want: str, default=None):
+    """doc[key] of JSON type `want` (an array as a tuple), or `default` if missing.
+
+    Anything else raises ScenarioFormatError naming the field after `where`.
+    """
+    if key not in doc:
+        if default is None:
+            raise ScenarioFormatError(f"{where}: missing {key!r}")
+        return default
+    if not _JSON_TYPES[want](doc[key]):
+        path = f"{where}.{key}" if where else key
+        raise ScenarioFormatError(f"{path}: expected {want}, got {doc[key]!r}")
+    return tuple(doc[key]) if isinstance(doc[key], list) else doc[key]
+
+
 def _parse_claim(entry, index: int) -> Claim:
+    at = f"claims[{index}]"
     if not isinstance(entry, dict):
-        raise ScenarioFormatError(f"claims[{index}]: expected an object")
+        raise ScenarioFormatError(f"{at}: expected an object")
     kind = entry.get("kind")
     if kind == "commute":
-        try:
-            return CommutationClaim(
-                a=str(entry["a"]),
-                b=str(entry["b"]),
-                expected=bool(entry.get("expected", True)),
-            )
-        except KeyError as missing:
-            raise ScenarioFormatError(
-                f"claims[{index}]: commute claim missing {missing}"
-            ) from None
+        return CommutationClaim(
+            a=_field(entry, "a", at, "a string"),
+            b=_field(entry, "b", at, "a string"),
+            expected=_field(entry, "expected", at, "true or false", True),
+        )
     if kind == "detect":
-        try:
-            return DetectionClaim(t=str(entry["t"]), e=str(entry["e"]))
-        except KeyError as missing:
-            raise ScenarioFormatError(
-                f"claims[{index}]: detect claim missing {missing}"
-            ) from None
+        return DetectionClaim(t=_field(entry, "t", at, "a string"), e=_field(entry, "e", at, "a string"))
     if kind == "constraints":
-        try:
-            symbols = tuple(str(s) for s in entry["symbols"])
-            equations = tuple(
+        equations = []
+        for j, eq in enumerate(_field(entry, "equations", at, "an array of objects")):
+            where = f"{at}.equations[{j}]"
+            equations.append(
                 SignEquation(
-                    left=tuple(str(s) for s in eq["left"]),
-                    right=tuple(str(s) for s in eq["right"]),
-                    sign=int(eq["sign"]),
+                    left=_field(eq, "left", where, "an array of strings"),
+                    right=_field(eq, "right", where, "an array of strings"),
+                    sign=_field(eq, "sign", where, "the integer 1 or -1"),
                 )
-                for eq in entry["equations"]
             )
-            satisfiable = bool(entry.get("satisfiable", False))
-        except (KeyError, TypeError) as bad:
-            raise ScenarioFormatError(
-                f"claims[{index}]: malformed constraints claim ({bad})"
-            ) from None
-        return ConstraintClaim(ConstraintSet(symbols, equations), satisfiable)
-    raise ScenarioFormatError(f"claims[{index}]: unknown claim kind {kind!r}")
+        return ConstraintClaim(
+            ConstraintSet(_field(entry, "symbols", at, "an array of strings"), tuple(equations)),
+            _field(entry, "satisfiable", at, "true or false", False),
+        )
+    raise ScenarioFormatError(f"{at}: unknown claim kind {kind!r}")
 
 
 def load_scenario(path, tol: Tolerance = DEFAULT_TOL) -> Scenario:
@@ -760,7 +767,7 @@ def load_scenario(path, tol: Tolerance = DEFAULT_TOL) -> Scenario:
     for key in ("name", "dim", "state", "observables", "claims"):
         if key not in doc:
             raise ScenarioFormatError(f"scenario file missing required key {key!r}")
-    name = str(doc["name"])
+    name = _field(doc, "name", "", "a string")
     dim = doc["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ScenarioFormatError(f"dim must be a positive integer, got {dim!r}")

@@ -14,6 +14,10 @@ import itertools
 
 import numpy as np
 
+import qdetect.detection
+import qdetect.numerics
+import qdetect.observables
+import qdetect.scenarios
 from qdetect import CMatrix, DensityOperator, Projection
 
 
@@ -385,3 +389,32 @@ def count_products(monkeypatch) -> list:
 
     monkeypatch.setattr(CMatrix, "__matmul__", counting)
     return products
+
+
+def count_commutation_checks(monkeypatch) -> list:
+    """Record every commutation check from now on.
+
+    A check sizes the product A.B of Hermitian A and B with
+    numerics.hermiticity_defect. observables.commutator_defect makes the
+    product itself (pairwise checks and `commutes`); detection and
+    scenarios reuse a product they share with another test. Projection
+    validation calls hermiticity_defect on its own matrix and is not
+    counted.
+    """
+    calls = []
+
+    def counted(fn):
+        def counting(*args):
+            calls.append(1)
+            return fn(*args)
+
+        return counting
+
+    monkeypatch.setattr(
+        qdetect.observables, "commutator_defect", counted(qdetect.observables.commutator_defect)
+    )
+    for module in (qdetect.detection, qdetect.scenarios):
+        monkeypatch.setattr(
+            module, "hermiticity_defect", counted(qdetect.numerics.hermiticity_defect)
+        )
+    return calls

@@ -2,8 +2,6 @@
 import numpy as np
 import pytest
 
-import qdetect.detection
-import qdetect.observables
 from qdetect import (
     CMatrix,
     CoMeasurabilityError,
@@ -42,6 +40,7 @@ from support import (
     random_detecting_triple,
     random_projection,
     ROUTE_TOL,
+    count_commutation_checks,
     count_products,
     pair_library,
     reference_chain_trace,
@@ -210,17 +209,9 @@ def test_simulation_equalities_on_scenario(ghsz):
 def test_simulation_equalities_checks_each_commutation_once(ghsz, monkeypatch):
     # One check inside detects plus F against T and E for each of k = 3 F:
     # 2k + 1 = 7, with conditionals bit-identical to the public cond_prob.
-    calls = []
-    original = qdetect.observables._commutator_defect_from
-
-    def counting(product):
-        calls.append(1)
-        return original(product)
-
     t, e = ghsz.observable("M"), ghsz.observable("G_alpha")
     fs = [ghsz.observable(n) for n in ("E_alpha", "F", "L_alpha")]
-    for module in (qdetect.observables, qdetect.detection):
-        monkeypatch.setattr(module, "_commutator_defect_from", counting)
+    calls = count_commutation_checks(monkeypatch)
     results = simulation_equalities(t, e, ghsz.state, fs)
     assert len(calls) == 7
     monkeypatch.undo()

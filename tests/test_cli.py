@@ -11,7 +11,6 @@ import qdetect.assignment
 import qdetect.cli
 import qdetect.detection
 import qdetect.ensemble
-import qdetect.observables
 from qdetect import (
     CMatrix,
     DensityOperator,
@@ -22,6 +21,8 @@ from qdetect import (
     save_scenario,
 )
 from qdetect.cli import main
+
+from support import count_commutation_checks
 
 
 def test_ghsz_text_output(capsys):
@@ -155,15 +156,7 @@ def test_detect_checks_each_commutation_once(ghsz_file, monkeypatch, capsys):
     # detects (two calls, one commutator each) and the candidate filter,
     # which checks each other observable against T, then E; the 3 F it
     # keeps are not checked again by the simulation equalities.
-    calls = []
-    original = qdetect.observables._commutator_defect_from
-
-    def counting(product):
-        calls.append(1)
-        return original(product)
-
-    for module in (qdetect.observables, qdetect.detection):
-        monkeypatch.setattr(module, "_commutator_defect_from", counting)
+    calls = count_commutation_checks(monkeypatch)
     assert main(["detect", ghsz_file, "M", "G_alpha"]) == 0
     assert capsys.readouterr().out.count("[PASS] simulation:") == 3
     assert len(calls) == 17
@@ -289,9 +282,15 @@ def test_simulate_json_report_digest_is_pinned(
 
 
 @pytest.mark.parametrize("z", ["nan", "-1", "0", "inf"])
-def test_simulate_rejects_meaningless_z(ghsz_file, tmp_path, capsys, z):
+def test_simulate_rejects_meaningless_z(ghsz_file, tmp_path, capsys, monkeypatch, z):
     # NaN would reach the JSON report as a bare NaN token, which strict
-    # parsers reject; a negative z would print negative bands.
+    # parsers reject; a negative z would print negative bands. z is checked
+    # before the file is read or anything is drawn.
+    def refuse(*args):
+        raise AssertionError("worked before checking z")
+
+    monkeypatch.setattr(qdetect.cli, "load_scenario", refuse)
+    monkeypatch.setattr(qdetect.ensemble, "_uniforms", refuse)
     csv_path = tmp_path / "ens.csv"
     args = ["simulate", ghsz_file, "M", "G_alpha", "--samples", "200"]
     code = main(args + ["--z", z, "--csv-out", str(csv_path), "--output", "json"])

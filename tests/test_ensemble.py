@@ -139,6 +139,29 @@ def test_sample_cap_is_checked_before_any_draw(pair_dist, monkeypatch):
         sample_ensemble(pair_dist, ensemble_module.MAX_SAMPLES, seed=0)
 
 
+def test_chunked_draw_matches_one_draw(pair_dist, monkeypatch):
+    # Record i keeps the first draw of counter block i however the records
+    # are chunked: n on a chunk boundary, one record past it, and under it.
+    draw = ensemble_module._uniforms
+    calls = []
+
+    def counting(seed, start, count):
+        calls.append(count)
+        return draw(seed, start, count)
+
+    monkeypatch.setattr(ensemble_module, "_uniforms", counting)
+    for chunk in (7, 64):
+        for n in (3 * chunk, 3 * chunk + 1, chunk - 1):
+            monkeypatch.setattr(ensemble_module, "_DRAW_CHUNK", n)
+            whole = sample_ensemble(pair_dist, n, seed=47)
+            monkeypatch.setattr(ensemble_module, "_DRAW_CHUNK", chunk)
+            calls.clear()
+            assert sample_ensemble(pair_dist, n, seed=47) == whole
+            assert calls == [chunk] * (n // chunk) + ([n % chunk] if n % chunk else [])
+            chunks = [draw(47, i, min(chunk, n - i)) for i in range(0, n, chunk)]
+            assert np.array_equal(np.concatenate(chunks), draw(47, 0, n))
+
+
 def test_to_csv_worker_invariant(pair_dist, tmp_path):
     one = tmp_path / "one.csv"
     four = tmp_path / "four.csv"

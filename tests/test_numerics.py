@@ -20,7 +20,7 @@ from qdetect import (
     trace,
     zeros,
 )
-from qdetect.numerics import MAX_DIM, basis_vector
+from qdetect.numerics import MAX_DIM, basis_vector, hermiticity_defect
 
 from support import ghz_vector, tensor4, _P_PLUS, _I2
 
@@ -160,6 +160,21 @@ def test_trace_of_ghz_state_against_first_qubit_projector():
 def test_adjoint():
     a = CMatrix([[1, 1j], [0, 2]])
     assert dist(adjoint(a), CMatrix([[1, 0], [-1j, 2]])) == 0.0
+
+
+def test_hermiticity_defect_matches_full_adjoint_bit_for_bit():
+    # Dims below, on, just past and inside a row band; the last case plants
+    # its only defect in the bottom-right corner.
+    rng = np.random.default_rng(211)
+    for dim in (1, 2, 63, 64, 65, 130):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        near = g + g.conj().T + 1e-12 * g
+        corner = g + g.conj().T
+        corner[-1, -1] += 1e-9j
+        for m in (g, near, corner):
+            want = float(np.max(np.abs(m - m.conj().T)))
+            assert hermiticity_defect(CMatrix(m)) == want
+        assert hermiticity_defect(CMatrix(g + g.conj().T)) == 0.0
 
 
 def test_eigh_identity_and_projector_spectra():

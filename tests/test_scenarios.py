@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from itertools import product as cartesian
 
 import numpy as np
@@ -513,6 +514,59 @@ def test_load_rejects_malformed_files(tmp_path):
     doc = _base_doc()
     doc["claims"] = [{"kind": "detect", "t": "E"}]
     with pytest.raises(ScenarioFormatError):
+        load_scenario(_write(tmp_path, doc))
+
+
+def _typed_claims() -> list:
+    return [
+        {"kind": "commute", "a": "E", "b": "E", "expected": False},
+        {"kind": "detect", "t": "E", "e": "E"},
+        {
+            "kind": "constraints",
+            "symbols": ["p", "q"],
+            "equations": [{"left": ["p"], "right": ["q"], "sign": -1}],
+            "satisfiable": True,
+        },
+    ]
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("name",), 3),
+        (("claims", 0, "a"), 3),
+        (("claims", 0, "expected"), "false"),
+        (("claims", 0, "expected"), 0),
+        (("claims", 1, "t"), None),
+        (("claims", 1, "e"), ["E"]),
+        (("claims", 2, "satisfiable"), "false"),
+        (("claims", 2, "symbols"), "pq"),
+        (("claims", 2, "symbols"), ["p", 1]),
+        (("claims", 2, "equations"), {"left": ["p"]}),
+        (("claims", 2, "equations"), [["p"]]),
+        (("claims", 2, "equations", 0, "left"), "p"),
+        (("claims", 2, "equations", 0, "right"), [None]),
+        (("claims", 2, "equations", 0, "sign"), 1.7),
+        (("claims", 2, "equations", 0, "sign"), 1.0),
+        (("claims", 2, "equations", 0, "sign"), True),
+        (("claims", 2, "equations", 0, "sign"), 2),
+    ],
+)
+def test_load_rejects_mistyped_fields(tmp_path, path, value):
+    # A coerced value could invert a claim ("false" is truthy); the message
+    # names the field, as claims[i].field for a claim.
+    doc = _base_doc()
+    doc["claims"] = _typed_claims()
+    scn = load_scenario(_write(tmp_path, doc))
+    assert scn.declared_claims[0].expected is False
+    assert scn.declared_claims[2].satisfiable is True
+    assert scn.declared_claims[2].constraints.equations[0].sign == -1
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+    with pytest.raises(ScenarioFormatError, match="^" + re.escape(where.lstrip(".") + ": expected")):
         load_scenario(_write(tmp_path, doc))
 
 
