@@ -421,10 +421,10 @@ def joint_distribution(
     names = tuple(
         p.name if p.name else f"obs{i}" for i, p in enumerate(observables)
     )
-    mats = [p.matrix for p in observables]
-    _require_pairwise_commuting(names, mats, gate, CoMeasurabilityError)
     if len(set(names)) != len(names):
         raise ValidationError(f"observable names must be unique, got {names}")
+    mats = [p.matrix for p in observables]
+    _require_pairwise_commuting(names, mats, gate, CoMeasurabilityError)
 
     # Validation stores every member exactly Hermitian, so H is too and the
     # one triangle eigh reads stands for the whole matrix.

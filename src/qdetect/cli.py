@@ -26,9 +26,11 @@ from .assignment import (
     joint_distribution,
 )
 from .detection import _complement_lemma, detects
-from .ensemble import check_support_statements, check_z, detection_frequency_audit, sample_ensemble
+from .ensemble import (
+    check_request, check_support_statements, check_z, detection_frequency_audit, sample_ensemble
+)
 from .errors import ToolkitError
-from .numerics import Tolerance
+from .numerics import DEFAULT_TOL, Tolerance
 from .observables import commutes
 from .reporting import Report
 from .scenarios import (
@@ -39,20 +41,13 @@ from .scenarios import (
     verify_ghsz,
 )
 
-DEFAULT_THETA = math.pi / 6.0
-
-
-def cmd_ghsz(tol: Tolerance) -> Report:
-    return verify_ghsz(build_ghsz(), tol)
-
-
-def cmd_detect(path: str, t_name: str, e_name: str, tol: Tolerance) -> Report:
-    scn = load_scenario(path, tol)
-    t = scn.observable(t_name)
-    e = scn.observable(e_name)
+def cmd_detect(args: argparse.Namespace, tol: Tolerance) -> Report:
+    scn = load_scenario(args.scenario, tol)
+    t = scn.observable(args.t)
+    e = scn.observable(args.e)
     rho = scn.state
     gate = tol.gate(scn.dim)
-    report = Report(command="detect", inputs={"scenario": scn.name, "t": t_name, "e": e_name})
+    report = Report(command="detect", inputs={"scenario": scn.name, "t": args.t, "e": args.e})
     check = detects(t, e, rho, tol)
     report.add(
         name="commutation",
@@ -103,7 +98,7 @@ def cmd_detect(path: str, t_name: str, e_name: str, tol: Tolerance) -> Report:
         compatible = [
             p
             for name, p in scn.observables.items()
-            if name not in (t_name, e_name)
+            if name not in (args.t, args.e)
             and commutes(p, t, tol)
             and commutes(p, e, tol)
         ]
@@ -125,16 +120,12 @@ def cmd_detect(path: str, t_name: str, e_name: str, tol: Tolerance) -> Report:
     return report
 
 
-def cmd_example44(theta: float, tol: Tolerance) -> Report:
-    return verify_example_44(theta, tol)
-
-
-def cmd_c3(path: str, e_name: str, f_name: str, tol: Tolerance) -> Report:
-    scn = load_scenario(path, tol)
-    e = scn.observable(e_name)
-    f = scn.observable(f_name)
+def cmd_c3(args: argparse.Namespace, tol: Tolerance) -> Report:
+    scn = load_scenario(args.scenario, tol)
+    e = scn.observable(args.e)
+    f = scn.observable(args.f)
     gate = tol.gate(scn.dim)
-    report = Report(command="c3", inputs={"scenario": scn.name, "e": e_name, "f": f_name})
+    report = Report(command="c3", inputs={"scenario": scn.name, "e": args.e, "f": args.f})
     probs = assignment_probs(e, f, scn.state, tol)
     report.add(
         name="sum-rule",
@@ -156,39 +147,32 @@ def cmd_c3(path: str, e_name: str, f_name: str, tol: Tolerance) -> Report:
     return report
 
 
-def cmd_simulate(
-    path: str,
-    family: Sequence[str],
-    samples: int,
-    seed: int,
-    tol: Tolerance,
-    workers: int = 1,
-    csv_out: str = "ensemble.csv",
-    z: float = 3.0,
-) -> Report:
-    check_z(z)
-    scn = load_scenario(path, tol)
-    projections = [scn.observable(name) for name in family]
+def cmd_simulate(args: argparse.Namespace, tol: Tolerance) -> Report:
+    # Every flag is checked before the scenario file is read.
+    check_z(args.z)
+    check_request(args.samples, args.seed, args.workers)
+    scn = load_scenario(args.scenario, tol)
+    projections = [scn.observable(name) for name in args.family]
     dist = joint_distribution(projections, scn.state, tol)
     ens = sample_ensemble(
-        dist, samples, seed, rho_name=scn.name, workers=workers
+        dist, args.samples, args.seed, rho_name=scn.name, workers=args.workers
     )
-    report = check_support_statements(ens, dist, z)
-    ens.to_csv(csv_out)
+    report = check_support_statements(ens, dist, args.z)
+    ens.to_csv(args.csv_out)
     report.command = "simulate"
     report.inputs.update(
         {
             "scenario": scn.name,
-            "family": list(family),
-            "samples": int(samples),
-            "workers": int(workers),
-            "csv": str(csv_out),
+            "family": list(args.family),
+            "samples": int(args.samples),
+            "workers": int(args.workers),
+            "csv": str(args.csv_out),
         }
     )
     for claim in scn.declared_claims:
         if not isinstance(claim, DetectionClaim):
             continue
-        if claim.t not in family or claim.e not in family:
+        if claim.t not in args.family or claim.e not in args.family:
             continue
         discordant, concordant = detection_frequency_audit(claim.t, claim.e, ens)
         report.add(
@@ -202,6 +186,11 @@ def cmd_simulate(
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The command table: each subcommand binds its handler as `run`.
+
+    Handlers are looked up when the parser is built, so a wrapper installed
+    on a module-level name is the one that runs.
+    """
     parser = argparse.ArgumentParser(
         prog="qdetect",
         description="Verify detection relations, value-assignment consistency, "
@@ -211,87 +200,88 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--tol",
         type=float,
-        default=1e-10,
-        help="absolute tolerance floor (default 1e-10)",
+        default=DEFAULT_TOL.atol,
+        help="absolute tolerance floor (default %(default)g)",
     )
     common.add_argument(
         "--eig-cut",
         type=float,
-        default=1e-8,
-        help="eigenvalue cutoff for kernel projectors (default 1e-8)",
+        default=DEFAULT_TOL.eig_cut,
+        help="eigenvalue cutoff for kernel projectors (default %(default)g)",
     )
     common.add_argument(
         "--output",
         choices=("json", "csv", "text"),
         default="text",
-        help="report format (default text)",
+        help="report format (default %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser(
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(run=run)
+        return p
+
+    command(
         "ghsz",
-        parents=[common],
-        help="verify the four-qubit no-go scenario end to end",
+        lambda args, tol: verify_ghsz(build_ghsz(), tol),
+        "verify the four-qubit no-go scenario end to end",
     )
 
-    p_detect = sub.add_parser(
+    p_detect = command(
         "detect",
-        parents=[common],
-        help="check whether observable T detects observable E at the scenario state",
+        cmd_detect,
+        "check whether observable T detects observable E at the scenario state",
     )
     p_detect.add_argument("scenario", help="scenario JSON file")
     p_detect.add_argument("t", help="detector observable name")
     p_detect.add_argument("e", help="detected observable name")
 
-    p_ex = sub.add_parser(
+    p_ex = command(
         "example44",
-        parents=[common],
-        help="verify the two-state sum-rule counterexample",
+        lambda args, tol: verify_example_44(args.theta, tol),
+        "verify the two-state sum-rule counterexample",
     )
     p_ex.add_argument(
         "--theta",
         type=float,
-        default=DEFAULT_THETA,
-        help=f"angle in (0, pi/4) (default {DEFAULT_THETA:.10f})",
+        default=math.pi / 6.0,
+        help="angle in (0, pi/4) (default %(default).10f)",
     )
 
-    p_c3 = sub.add_parser(
-        "c3",
-        parents=[common],
-        help="evaluate the complement sum rule for a pair of observables",
+    p_c3 = command(
+        "c3", cmd_c3, "evaluate the complement sum rule for a pair of observables"
     )
     p_c3.add_argument("scenario", help="scenario JSON file")
     p_c3.add_argument("e", help="conditioning observable name")
     p_c3.add_argument("f", help="target observable name")
 
-    p_sim = sub.add_parser(
-        "simulate",
-        parents=[common],
-        help="sample a specimen ensemble for a commuting family",
+    p_sim = command(
+        "simulate", cmd_simulate, "sample a specimen ensemble for a commuting family"
     )
     p_sim.add_argument("scenario", help="scenario JSON file")
     p_sim.add_argument("family", nargs="+", help="observable names to measure jointly")
     p_sim.add_argument(
-        "--samples", type=int, default=10000, help="ensemble size (default 10000)"
+        "--samples", type=int, default=10000, help="ensemble size (default %(default)s)"
     )
-    p_sim.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p_sim.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
     p_sim.add_argument(
         "--workers",
         type=int,
         default=1,
         help="accepted for compatibility, must be at least 1; never changes "
-        "the ensemble and starts no threads (default 1)",
+        "the ensemble and starts no threads (default %(default)s)",
     )
     p_sim.add_argument(
         "--csv-out",
         default="ensemble.csv",
-        help="where to write the ensemble CSV (default ensemble.csv)",
+        help="where to write the ensemble CSV (default %(default)s)",
     )
     p_sim.add_argument(
         "--z",
         type=float,
         default=3.0,
-        help="width of the frequency acceptance band in sigmas (default 3.0)",
+        help="width of the frequency acceptance band in sigmas (default %(default)s)",
     )
     return parser
 
@@ -300,25 +290,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         tol = Tolerance(atol=args.tol, eig_cut=args.eig_cut)
-        if args.command == "ghsz":
-            report = cmd_ghsz(tol)
-        elif args.command == "detect":
-            report = cmd_detect(args.scenario, args.t, args.e, tol)
-        elif args.command == "example44":
-            report = cmd_example44(args.theta, tol)
-        elif args.command == "c3":
-            report = cmd_c3(args.scenario, args.e, args.f, tol)
-        else:
-            report = cmd_simulate(
-                args.scenario,
-                args.family,
-                args.samples,
-                args.seed,
-                tol,
-                workers=args.workers,
-                csv_out=args.csv_out,
-                z=args.z,
-            )
+        report = args.run(args, tol)
     except ToolkitError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

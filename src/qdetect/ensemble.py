@@ -172,14 +172,7 @@ def sample_ensemble(
     and is otherwise ignored: the draw is vectorized in one thread, so the
     worker count never changes the ensemble and starts no threads.
     """
-    if not 1 <= n <= MAX_SAMPLES:
-        raise PreconditionError(
-            f"ensemble size must be at least 1 and at most {MAX_SAMPLES}, got {n}"
-        )
-    if workers < 1:
-        raise PreconditionError(f"worker count must be at least 1, got {workers}")
-    if not (0 <= int(seed) < 2**64):
-        raise PreconditionError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    check_request(n, seed, workers)
     seed = int(seed)
 
     cum = np.cumsum(dist.probs)
@@ -195,6 +188,22 @@ def sample_ensemble(
         u = _uniforms(seed, start, stop - start)
         index[start:stop] = np.searchsorted(cum, u, side="right")
     return Ensemble(rho_name=rho_name, seed=seed, family=dist.names, index=index)
+
+
+def check_request(n: int, seed: int, workers: int) -> None:
+    """Raise PreconditionError unless sample_ensemble may draw n records.
+
+    It needs 1 <= n <= MAX_SAMPLES, workers >= 1 and a seed in [0, 2^64).
+    No distribution is read, so a request can be refused before any work.
+    """
+    if not 1 <= n <= MAX_SAMPLES:
+        raise PreconditionError(
+            f"ensemble size must be at least 1 and at most {MAX_SAMPLES}, got {n}"
+        )
+    if workers < 1:
+        raise PreconditionError(f"worker count must be at least 1, got {workers}")
+    if not (0 <= int(seed) < 2**64):
+        raise PreconditionError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
 def check_z(z: float) -> None:

@@ -270,7 +270,10 @@ def commutation_projection(
     name = ""
     if a.name and b.name:
         name = f"C({a.name},{b.name})"
-    return Projection(kernel_projector(c, tol), name=name, tol=tol)
+    # A projector built from eigh's orthonormal columns needs no idempotency
+    # check; its Hermitian part is what validation would store.
+    k = kernel_projector(c, tol).array
+    return Projection._trusted(CMatrix._trusted(0.5 * (k + k.conj().T)), name=name, tol=tol)
 
 
 def orthogonal_sum(f: Projection, g: Projection, tol: Tolerance = DEFAULT_TOL) -> Projection:

@@ -34,7 +34,7 @@ from .errors import (
     UnknownObservableError,
     ValidationError,
 )
-from .numerics import CMatrix, DEFAULT_TOL, MAX_DIM, Tolerance, hermiticity_defect, kron, outer
+from .numerics import CMatrix, DEFAULT_TOL, MAX_DIM, Tolerance, hermiticity_defect, kron, max_abs, outer
 from .observables import DensityOperator, PMObservable, Projection, derived_projection
 from .detection import _detects
 from .assignment import assignment_probs
@@ -107,6 +107,8 @@ class ConstraintSet:
 
     def __post_init__(self) -> None:
         known = set(self.symbols)
+        if len(known) != len(self.symbols):
+            raise ValidationError(f"constraint symbols must be unique, got {self.symbols}")
         for eq in self.equations:
             for s in eq.left + eq.right:
                 if s not in known:
@@ -158,8 +160,6 @@ def _solution_count(cs: ConstraintSet) -> int:
     (a repeated symbol cancels) = [sign == -1]. A consistent system of rank
     r over k symbols has 2**(k - r) solutions, an inconsistent one none.
     """
-    if len(set(cs.symbols)) != len(cs.symbols):
-        raise ValidationError("duplicate symbol in sign assignment")
     bit = {s: 2 << i for i, s in enumerate(cs.symbols)}  # bit 0 holds the sign
     pivots: dict[int, int] = {}  # bit length -> reduced row with that leading bit
     for eq in cs.equations:
@@ -230,6 +230,17 @@ class Scenario:
             if vec.shape[0] != dim:
                 raise DimensionError(
                     f"state vector length {vec.shape[0]} does not match dim {dim}"
+                )
+            # save_scenario writes the vector, so it must stand for the state.
+            # Compared in 64-row bands: no d x d outer product is held.
+            u, rows = _unit_vector(vec), state.matrix.array
+            defect = max(
+                max_abs(np.outer(u[i : i + 64], u.conj()) - rows[i : i + 64])
+                for i in range(0, dim, 64)
+            )
+            if defect > state.tol.gate(dim):
+                raise ValidationError(
+                    f"state vector's projector lies {defect:.3e} from the state"
                 )
             vec.setflags(write=False)
         else:

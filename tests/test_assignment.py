@@ -361,6 +361,14 @@ def test_joint_distribution_validations(rt):
         joint_distribution([Projection(CMatrix(np.eye(3)))], rho2)
 
 
+def test_joint_distribution_refuses_duplicate_names_before_any_product(ghsz, monkeypatch):
+    family = [ghsz.observable(name) for name in ("E_alpha", "F", "E_alpha")]
+    products = count_products(monkeypatch)
+    with pytest.raises(ValidationError, match="unique"):
+        joint_distribution(family, ghsz.state)
+    assert products == []
+
+
 def test_joint_distribution_equals_per_atom_chain():
     # The eigendecomposition route agrees with the per-atom chain up to
     # rounding, and both clamp exactly the same atoms to zero.

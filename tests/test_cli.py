@@ -301,6 +301,34 @@ def test_simulate_rejects_meaningless_z(ghsz_file, tmp_path, capsys, monkeypatch
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--samples", "0", "ensemble size must be"),
+        ("--samples", "100000000", "ensemble size must be"),
+        ("--seed", "-1", "seed must be"),
+        ("--seed", str(2**64), "seed must be"),
+        ("--workers", "0", "worker count must be"),
+    ],
+)
+def test_simulate_refuses_bad_request_before_reading_file(
+    ghsz_file, tmp_path, capsys, monkeypatch, flag, value, message
+):
+    def refuse(*args):
+        raise AssertionError("worked before checking the request")
+
+    monkeypatch.setattr(qdetect.cli, "load_scenario", refuse)
+    monkeypatch.setattr(qdetect.cli, "joint_distribution", refuse)
+    monkeypatch.setattr(qdetect.ensemble, "_uniforms", refuse)
+    csv_path = tmp_path / "ens.csv"
+    args = ["simulate", ghsz_file, "M", "G_alpha", flag, value, "--csv-out", str(csv_path)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert not csv_path.exists()
+
+
 def test_simulate_caps_samples_before_drawing(ghsz_file, tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("drew before checking the sample cap")

@@ -20,6 +20,7 @@ from qdetect import (
     outer,
     zeros,
 )
+from qdetect.numerics import kernel_projector
 from qdetect.observables import commutator_defect
 
 from support import (
@@ -182,6 +183,43 @@ def test_commutation_projection_lifted_pair_still_zero(ghsz):
     cp = commutation_projection(ghsz.observable("E_alpha"), ghsz.observable("E_beta"))
     assert cp.rank() == 0
     assert dist(cp.matrix, zeros(16)) < 1e-12
+
+
+def _validated_commutation_projection(a: Projection, b: Projection) -> np.ndarray:
+    # The kernel projector of i[A, B], validated as any Projection is.
+    ab = a.matrix.array @ b.matrix.array
+    return Projection(kernel_projector(CMatrix(1j * (ab - ab.conj().T)))).matrix.array
+
+
+def _pair_sharing_subspace(rng, dim: int) -> tuple[Projection, Projection]:
+    """Non-commuting projections that agree on a random common subspace."""
+    k = int(rng.integers(1, dim // 2))
+    v = haar_unitary(rng, dim)
+
+    def member() -> Projection:
+        block = np.zeros((dim, dim), dtype=complex)
+        block[:k, :k] = np.eye(k)
+        block[k:, k:] = random_projection(rng, dim - k).matrix.array
+        return Projection(CMatrix(v @ block @ v.conj().T))
+
+    return member(), member()
+
+
+def test_commutation_projection_trusts_its_kernel_projector(ghsz, rt, monkeypatch):
+    # One product for the commutator and none to re-check idempotency; the
+    # matrix is bit for bit the one validation would store.
+    pairs = [(a, b) for s in (ghsz, rt) for a in s.observables.values() for b in s.observables.values()]
+    rng = np.random.default_rng(5)
+    for i in range(16):
+        dim = int(rng.integers(8, 131))
+        pairs.append(_pair_sharing_subspace(rng, dim) if i % 2 else random_commuting_pair(rng, dim))
+    for a, b in pairs:
+        want = _validated_commutation_projection(a, b)
+        products = count_products(monkeypatch)
+        got = commutation_projection(a, b).matrix.array
+        monkeypatch.undo()
+        assert len(products) == 1
+        assert got.tobytes() == want.tobytes()
 
 
 def test_commutation_projection_is_identity_iff_commuting():

@@ -37,6 +37,7 @@ from qdetect import (
     verify_ghsz,
     verify_scenario,
 )
+from qdetect.cli import main
 from qdetect.scenarios import CONSTRAINT_SYMBOLS, _decode, _encode
 
 from support import (
@@ -183,6 +184,19 @@ def test_verify_rejects_duplicate_symbols():
         _constraint_report(ConstraintSet(("p", "p"), ()))
 
 
+def test_load_rejects_duplicate_constraint_symbols(tmp_path, ghsz):
+    # A repeated symbol is refused when the file is read, not first by
+    # verify_scenario; the CLI reports it as an input error.
+    path = tmp_path / "ghsz.json"
+    save_scenario(ghsz, path)
+    doc = json.loads(path.read_text())
+    doc["claims"][-1]["symbols"].append("b")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="unique"):
+        load_scenario(path)
+    assert main(["detect", str(path), "M", "G_alpha"]) == 2
+
+
 # ---------------------------------------------------------------------------
 # Scenario container
 
@@ -198,6 +212,22 @@ def test_scenario_validation():
         Scenario("x", 2, rho, {"E": e}, [DetectionClaim("E", "nope")])
     with pytest.raises(DimensionError):
         Scenario("x", 2, rho, {"E": e}, state_vector=np.ones(3))
+
+
+def test_scenario_refuses_state_vector_that_is_not_its_state(tmp_path):
+    # save_scenario writes the vector, so a mismatch would reload as |0><0|:
+    # Tr(rho.E) would go from 0.5 to 1.
+    rho = DensityOperator(CMatrix(np.eye(2) / 2))
+    e = Projection(CMatrix(np.diag([1.0, 0.0])), name="E")
+    with pytest.raises(ValidationError, match="state vector"):
+        Scenario("x", 2, rho, {"E": e}, state_vector=[1, 0])
+    with pytest.raises(ValidationError, match="nonzero"):
+        Scenario("x", 2, rho, {"E": e}, state_vector=[0, 0])
+    # An unnormalized vector stands for its normalized projector.
+    pure = DensityOperator(CMatrix(np.diag([1.0, 0.0])))
+    scn = Scenario("x", 2, pure, {"E": e}, state_vector=[2, 0])
+    save_scenario(scn, tmp_path / "pure.json")
+    assert load_scenario(tmp_path / "pure.json").state.expectation(e) == 1.0
 
 
 def test_scenario_immutable_and_lookup(ghsz):
