@@ -7,17 +7,25 @@ after clamping, statements like "a detecting pair never disagrees" hold
 exactly in every sample, not just statistically.
 
 An ensemble is stored as one column: `index` holds the outcome code of each
-record, the same code that indexes the distribution's `probs`. Its outcome
-vector is row `index[i]` of the derived `table`, `outcome_bits(k)`: the bits
-of the code, first member most significant. Counts, the discordance audit
-and certification all work from the per-code record counts and masks over
-the table.
+record as a uint16 (a family has at most MAX_FAMILY = 12 members), the same
+code that indexes the distribution's `probs`. Its outcome vector is row
+`index[i]` of the derived `table`, `outcome_bits(k)`: the bits of the code,
+first member most significant. Counts, the discordance audit and
+certification all work from the per-code record counts and masks over the
+table.
 
 Sampling is counter-based: record i consumes the first draw of Philox
-counter block i, so the ensemble depends only on (dist, n, seed). The draw
-is vectorized over fixed-size chunks of records, which bounds its memory;
-the worker count is accepted for compatibility and never changes the
-ensemble or starts a thread.
+counter block i, so the ensemble depends only on (dist, n, seed). A uniform
+u is mapped to its code by inversion of the cdf through a guide table (Chen
+and Asau, AIIE Trans. 1974): u's bucket floor(u * 2^12) names its code
+outright unless a cdf edge splits the bucket, and only records in split
+buckets are binary-searched. The draw is vectorized over fixed-size chunks
+of records, which bounds its memory; the worker count is accepted for
+compatibility and never changes the ensemble or starts a thread.
+
+The CSV writer formats a chunk of records into one preallocated byte
+buffer: the id digits one decimal place at a time, then each record's
+preformatted row tail ",b1,...,bk\r\n", gathered per code.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import JointDistribution, outcome_bits, outcome_code
+from .assignment import MAX_FAMILY, JointDistribution, outcome_bits, outcome_code
 from .errors import PreconditionError, UnknownObservableError, ValidationError
 from .reporting import Report
 
@@ -54,6 +62,14 @@ _DRAW_CHUNK = 1 << 16
 # Records formatted per write in Ensemble.to_csv; bounds the bytes held at once.
 _CSV_CHUNK = 1 << 16
 
+# Buckets of the draw's guide table. A power of two makes a uniform's bucket
+# floor(u * _GUIDE_BUCKETS) exact.
+_GUIDE_BUCKETS = 1 << 12
+
+# Guide entry of a bucket that a cdf edge splits. No code takes this value:
+# codes lie below 2^MAX_FAMILY.
+_SPLIT = np.iinfo(np.uint16).max
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
@@ -65,8 +81,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class Ensemble:
     """An ordered collection of specimen records for one measured family.
 
-    Record i has id i and the outcome code `index[i]`, a code in [0, 2^k)
-    for a family of k members.
+    Record i has id i and the outcome code `index[i]`, a uint16 code in
+    [0, 2^k) for a family of k <= MAX_FAMILY members.
     """
 
     rho_name: str
@@ -76,11 +92,15 @@ class Ensemble:
 
     def __post_init__(self) -> None:
         index = np.asarray(self.index)
+        if len(self.family) > MAX_FAMILY:
+            raise ValidationError(
+                f"ensemble family has {len(self.family)} members; the limit is {MAX_FAMILY}"
+            )
         if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
             raise ValidationError("ensemble index must be a 1-D integer array")
         if index.size and not (0 <= index.min() and index.max() < 2 ** len(self.family)):
             raise ValidationError("ensemble index holds a code outside [0, 2^k)")
-        object.__setattr__(self, "index", _read_only(index.astype(np.intp, copy=False)))
+        object.__setattr__(self, "index", _read_only(index.astype(np.uint16, copy=False)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ensemble):
@@ -104,7 +124,13 @@ class Ensemble:
     @cached_property
     def atom_counts(self) -> np.ndarray:
         """Number of records with each outcome code."""
-        return _read_only(np.bincount(self.index, minlength=2 ** len(self.family)))
+        # bincount widens its input to intp; chunks keep that copy small.
+        counts = np.zeros(2 ** len(self.family), dtype=np.intp)
+        for start in range(0, self.n, _DRAW_CHUNK):
+            counts += np.bincount(
+                self.index[start : start + _DRAW_CHUNK], minlength=counts.size
+            )
+        return _read_only(counts)
 
     def _column(self, name: str) -> np.ndarray:
         if name not in self.family:
@@ -125,27 +151,39 @@ class Ensemble:
         The bytes are those csv.writer writes for the same rows.
         """
         # The header goes through csv.writer, which quotes a family name when
-        # it must. A record row is its id's digits followed by its atom's
+        # it must. A record row is its id's digits followed by its code's
         # fixed-width tail ",b1,...,bk\r\n"; rows whose ids have equal digit
-        # counts form a rectangular byte array.
+        # counts form a rectangular byte array, built in one buffer.
         header = io.StringIO()
         csv.writer(header).writerow(["id", *self.family])
         k = len(self.family)
-        tails = np.empty((len(self.table), 2 * k + 2), dtype=np.uint8)
+        tail = 2 * k + 2
+        tails = np.empty((len(self.table), tail), dtype=np.uint8)
         tails[:, 0 : 2 * k : 2] = ord(",")
         tails[:, 1 : 2 * k : 2] = self.table + ord("0")
         tails[:, 2 * k :] = (ord("\r"), ord("\n"))
+        # One opaque record per code, so a gather moves a whole tail at once.
+        tail_records = tails.view(f"V{tail}")[:, 0]
+        widest = len(str(max(self.n - 1, 0)))
+        buffer = np.empty(min(self.n, _CSV_CHUNK) * (widest + tail), dtype=np.uint8)
         with open(path, "wb") as handle:
             handle.write(header.getvalue().encode("utf-8"))
             start = 0
             while start < self.n:
                 width = len(str(start))
                 stop = min(self.n, start + _CSV_CHUNK, 10**width)
-                ids = np.arange(start, stop)[:, None]
-                scale = 10 ** np.arange(width - 1, -1, -1)
-                digits = (ids // scale % 10 + ord("0")).astype(np.uint8)
-                rows = np.hstack((digits, tails[self.index[start:stop]]))
-                handle.write(rows.tobytes())
+                rows = buffer[: (stop - start) * (width + tail)].reshape(-1, width + tail)
+                # Ids stay below MAX_SAMPLES < 2^32, so uint32 holds them and
+                # each place is one division by a scalar.
+                ids = np.arange(start, stop, dtype=np.uint32)
+                for place in range(width - 1, -1, -1):
+                    quotient = ids // 10
+                    rows[:, place] = ids - quotient * 10 + ord("0")
+                    ids = quotient
+                rows[:, width:].view(tail_records.dtype)[:, 0] = tail_records[
+                    self.index[start:stop]
+                ]
+                handle.write(rows)
                 start = stop
 
 
@@ -180,14 +218,31 @@ def sample_ensemble(
         raise ValidationError(f"atom distribution sums to {cum[-1]!r}, not 1")
     # Close the last bin exactly so u ~ U[0,1) can never fall off the end.
     cum[-1] = 1.0
-    # side='right': u strictly below a bin edge picks that bin, so bins of
-    # width zero (clamped atoms) are unreachable.
-    index = np.empty(n, dtype=np.intp)
+    guide = _guide_table(cum)
+    index = np.empty(n, dtype=np.uint16)
     for start in range(0, n, _DRAW_CHUNK):
         stop = min(n, start + _DRAW_CHUNK)
         u = _uniforms(seed, start, stop - start)
-        index[start:stop] = np.searchsorted(cum, u, side="right")
+        codes = index[start:stop]
+        np.take(guide, (u * _GUIDE_BUCKETS).astype(np.intp), out=codes)
+        split = np.flatnonzero(codes == _SPLIT)
+        codes[split] = np.searchsorted(cum, u[split], side="right")
     return Ensemble(rho_name=rho_name, seed=seed, family=dist.names, index=index)
+
+
+def _guide_table(cum: np.ndarray) -> np.ndarray:
+    """The code of each bucket [b, b + 1) / _GUIDE_BUCKETS, or _SPLIT.
+
+    A uniform u draws code searchsorted(cum, u, side='right'): u strictly
+    below a bin edge picks that bin, so bins of width zero (clamped atoms)
+    are unreachable. That code is nondecreasing in u, so every u in a bucket
+    draws the code of the bucket's left end when no edge of cum lies in
+    (left end, right end]; the bucket is split otherwise.
+    """
+    ends = np.searchsorted(
+        cum, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS, side="right"
+    )
+    return np.where(ends[:-1] == ends[1:], ends[:-1], _SPLIT).astype(np.uint16)
 
 
 def check_request(n: int, seed: int, workers: int) -> None:

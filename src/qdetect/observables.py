@@ -33,6 +33,7 @@ from .numerics import (
     kernel_projector,
     max_abs,
     mul,
+    outer,
     trace,
 )
 
@@ -115,6 +116,9 @@ class DensityOperator:
     tol: Tolerance = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self) -> None:
+        self._validate(check_psd=True)
+
+    def _validate(self, check_psd: bool) -> None:
         gate = self.tol.gate(self.matrix.dim)
         problems = []
         herm = _store_hermitian_part(self, gate)
@@ -123,7 +127,7 @@ class DensityOperator:
         tr_defect = abs(trace(self.matrix) - 1.0)
         if tr_defect > gate:
             problems.append(f"trace defect {tr_defect:.3e}")
-        if herm <= gate:
+        if check_psd and herm <= gate:
             lo = float(np.min(np.linalg.eigvalsh(self.matrix.array)))
             if lo < -gate:
                 problems.append(f"negative eigenvalue {lo:.3e}")
@@ -144,8 +148,22 @@ class DensityOperator:
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
             raise ValidationError("pure state vector must be nonzero")
-        v = v / norm
-        return cls(CMatrix(np.outer(v, v.conj())), name=name, tol=tol)
+        return cls._rank_one(v / norm, name=name, tol=tol)
+
+    @classmethod
+    def _rank_one(
+        cls, unit: np.ndarray, name: str, tol: Tolerance
+    ) -> "DensityOperator":
+        """The state |v><v| of a unit vector v, validated in O(d^2).
+
+        |v><v| is positive semidefinite for every v, so the O(d^3) eigenvalue
+        check is skipped. Hermiticity and trace are checked as for any state,
+        and the stored matrix is the one the full validation would store.
+        """
+        rho = object.__new__(cls)
+        rho.__dict__.update(matrix=outer(unit), name=name, tol=tol)
+        rho._validate(check_psd=False)
+        return rho
 
     def expectation(self, p: Projection) -> float:
         """Probability the property p holds in this state."""

@@ -760,7 +760,9 @@ def load_scenario(path, tol: Tolerance = DEFAULT_TOL) -> Scenario:
 
     Every matrix is re-validated as a Projection or DensityOperator, so a
     hand-edited file with a broken invariant fails here with the invariant
-    named, not deep inside a later computation.
+    named, not deep inside a later computation. A pure state |v><v| is
+    positive semidefinite by construction: its Hermiticity and trace are
+    checked, its eigenvalues are not.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -791,14 +793,14 @@ def load_scenario(path, tol: Tolerance = DEFAULT_TOL) -> Scenario:
     state_vector: Optional[np.ndarray] = None
     if state_doc["type"] == "pure":
         state_vector = _unit_vector(_decode(state_doc.get("vector"), dim, "state.vector", 1))
-        matrix = outer(state_vector)
+        state = DensityOperator._rank_one(state_vector, name="state", tol=tol)
     elif state_doc["type"] == "density":
         matrix = CMatrix(_decode(state_doc.get("matrix"), dim, "state.matrix", 2))
+        state = DensityOperator(matrix, name="state", tol=tol)
     else:
         raise ScenarioFormatError(
             f"state type must be 'pure' or 'density', got {state_doc['type']!r}"
         )
-    state = DensityOperator(matrix, name="state", tol=tol)
 
     obs_doc = doc["observables"]
     if not isinstance(obs_doc, dict):

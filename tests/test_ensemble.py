@@ -1,3 +1,5 @@
+import csv
+import io
 import threading
 from dataclasses import FrozenInstanceError
 from itertools import product as cartesian
@@ -7,6 +9,7 @@ import pytest
 
 from qdetect import (
     Ensemble,
+    JointDistribution,
     PreconditionError,
     UnknownObservableError,
     ValidationError,
@@ -17,7 +20,8 @@ from qdetect import (
     sample_ensemble,
 )
 from qdetect import ensemble as ensemble_module
-from qdetect.ensemble import _uniforms
+from qdetect.assignment import MAX_FAMILY
+from qdetect.ensemble import _SPLIT, _guide_table, _uniforms
 from qdetect.numerics import outer
 from qdetect.observables import DensityOperator
 
@@ -162,6 +166,74 @@ def test_chunked_draw_matches_one_draw(pair_dist, monkeypatch):
             assert np.array_equal(np.concatenate(chunks), draw(47, 0, n))
 
 
+def _crafted_uniforms() -> np.ndarray:
+    # Every bucket edge b / 2^12, the doubles either side of it, the ends of
+    # [0, 1) and a spread of ordinary draws.
+    edges = np.arange(1 << 12) / (1 << 12)
+    return np.concatenate(
+        [
+            edges,
+            np.nextafter(edges[1:], 0.0),
+            np.nextafter(edges, 1.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+            np.random.default_rng(8).random(5000),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        # cdf edges at exactly k / 2^12, with zero-width atoms on them and
+        # on the first and last bucket boundaries.
+        np.array([0, 1, 0, 3, 0, 2, 4086, 0, 0, 1, 0, 1, 0, 1, 1, 0]) / 4096,
+        # One atom carries all the mass.
+        np.array([0.0, 0.0, 1.0, 0.0]),
+        np.array([1.0, 0.0]),
+        # 2^12 equal atoms: every bucket holds an edge.
+        np.full(1 << 12, 1.0 / (1 << 12)),
+        # Edges off the bucket grid.
+        np.array([0.1, 0.0, 0.25, 0.0, 0.0, 1e-9, 0.3, 0.35 - 1e-9]),
+    ],
+    ids=["grid-edges", "one-atom", "one-atom-first", "equal-4096", "off-grid"],
+)
+def test_guide_table_draw_matches_binary_search(probs, monkeypatch):
+    k = len(probs).bit_length() - 1
+    dist = JointDistribution((), tuple(f"m{i}" for i in range(k)), probs, 1.0)
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    u = _crafted_uniforms()
+    monkeypatch.setattr(
+        ensemble_module, "_uniforms", lambda seed, start, count: u[start : start + count]
+    )
+    monkeypatch.setattr(ensemble_module, "_DRAW_CHUNK", 1000)
+    ens = sample_ensemble(dist, u.size, seed=0)
+    np.testing.assert_array_equal(ens.index, np.searchsorted(cum, u, side="right"))
+    assert ens.index.dtype == np.uint16
+    assert not np.any(probs[ens.index] == 0.0)
+    guide = _guide_table(cum)
+    if len(probs) == 1 << 12:
+        assert np.all(guide == _SPLIT)
+    else:
+        assert np.any(guide == _SPLIT) and np.any(guide != _SPLIT)
+
+
+def test_to_csv_ids_crossing_powers_of_ten(tmp_path, monkeypatch):
+    # Ids cross 9 -> 10, ..., 999 999 -> 1 000 000; a 997-record chunk ends
+    # both inside runs of equally long ids and at their ends.
+    monkeypatch.setattr(ensemble_module, "_CSV_CHUNK", 997)
+    rng = np.random.default_rng(31)
+    for family, n in ((("x", "y z", "w"), 100_002), (("a,b",), 1_000_002)):
+        ens = Ensemble("rho", 0, family, rng.integers(0, 2 ** len(family), n))
+        path = tmp_path / f"{n}.csv"
+        ens.to_csv(path)
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["id", *family])
+        writer.writerows(zip(range(n), *ens.table[ens.index].T.tolist()))
+        assert path.read_bytes() == want.getvalue().encode("utf-8"), n
+
+
 def test_to_csv_worker_invariant(pair_dist, tmp_path):
     one = tmp_path / "one.csv"
     four = tmp_path / "four.csv"
@@ -288,6 +360,12 @@ def test_ensemble_rejects_malformed_columns():
         Ensemble("rho", 0, ("a", "b"), np.array([0.0]))
     with pytest.raises(ValidationError):
         Ensemble("rho", 0, ("a", "b"), np.array([[0]]))
+    # Codes are stored as uint16, which holds every code of a family up to
+    # MAX_FAMILY members.
+    big = tuple(f"m{i}" for i in range(MAX_FAMILY))
+    assert Ensemble("rho", 0, big, np.array([2**MAX_FAMILY - 1])).index.dtype == np.uint16
+    with pytest.raises(ValidationError):
+        Ensemble("rho", 0, (*big, "extra"), np.array([0]))
 
 
 def test_columnar_ensemble_matches_per_record_reference(tmp_path, monkeypatch):

@@ -464,6 +464,43 @@ def test_load_accepts_base_doc(tmp_path):
     assert scn.dim == 2 and set(scn.observables) == {"E"}
 
 
+def test_pure_state_load_runs_no_eigenvalue_check(tmp_path, monkeypatch):
+    # |v><v| is positive semidefinite by construction, so a pure-state load
+    # skips eigvalsh; the state it builds is the fully validated one, bit for
+    # bit. A density-state file is still checked for negative eigenvalues.
+    rng = np.random.default_rng(12)
+    dim = 64
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v /= np.linalg.norm(v)
+    e = Projection(CMatrix(np.diag([1.0] * 32 + [0.0] * 32)), name="E")
+    scn = Scenario("pure", dim, DensityOperator.pure(v), {"E": e}, state_vector=v)
+    path = tmp_path / "pure.json"
+    save_scenario(scn, path)
+
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a, *rest: calls.append(a.shape) or eigvalsh(a, *rest)
+    )
+    loaded = load_scenario(path)
+    assert calls == []
+    u = loaded.state_vector
+    full = DensityOperator(CMatrix(np.outer(u, u.conj())), name="state")
+    assert calls == [(dim, dim)]
+    assert loaded == scn
+    assert loaded.state.matrix.array.tobytes() == full.matrix.array.tobytes()
+
+    doc = _base_doc()
+    zero, one = [0.0, 0.0], [1.0, 0.0]
+    doc["state"] = {"type": "density", "matrix": [[[1.5, 0.0], zero], [zero, [-0.5, 0.0]]]}
+    with pytest.raises(ValidationError, match="negative eigenvalue"):
+        load_scenario(_write(tmp_path, doc, "negative.json"))
+    assert len(calls) == 2
+    doc["state"] = {"type": "density", "matrix": [[one, zero], [zero, zero]]}
+    assert load_scenario(_write(tmp_path, doc, "density.json")).state_vector is None
+    assert len(calls) == 3
+
+
 def test_load_rejects_malformed_files(tmp_path):
     with pytest.raises(ScenarioFormatError):
         load_scenario(str(tmp_path / "does-not-exist.json"))
