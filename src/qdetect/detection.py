@@ -25,6 +25,7 @@ from .numerics import CMatrix, DEFAULT_TOL, Tolerance, eigh, hermiticity_defect,
 from .observables import (
     DensityOperator,
     Projection,
+    _eigh_projector,
     _real,
     _rho_trace,
     complement,
@@ -221,4 +222,4 @@ def rank_one_detector(
         return None
     psi = v[:, int(top[-1])]
     name = f"[{e.name}&{f.name}]" if e.name and f.name else "rank-one detector"
-    return Projection(CMatrix(np.outer(psi, psi.conj())), name=name, tol=tol)
+    return _eigh_projector(np.outer(psi, psi.conj()), name, tol)

@@ -10,9 +10,10 @@ back into a projection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -102,6 +103,18 @@ class Projection:
         return f"Projection({label}, dim={self.dim}, rank={self.rank()})"
 
 
+def _unit_vector(vector) -> np.ndarray:
+    """`vector` as a read-only complex unit vector, by the rule of `pure`."""
+    v = np.array(vector, dtype=np.complex128, copy=True).reshape(-1)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        raise ValidationError("pure state vector must be nonzero")
+    if abs(norm - 1.0) > 1e-12:
+        v = v / norm
+    v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """A state: Hermitian, unit-trace, positive semidefinite.
@@ -109,11 +122,14 @@ class DensityOperator:
     Eigenvalues may dip below zero by at most the gate; anything worse is
     rejected rather than silently clipped. As with Projection, an admitted
     input that is not exactly Hermitian is stored as its Hermitian part.
+    A state built by `pure` also keeps its unit vector as `vector`.
     """
 
     matrix: CMatrix
     name: str = ""
     tol: Tolerance = field(default=DEFAULT_TOL, compare=False)
+    # The read-only unit vector of a state built by `pure`; None otherwise.
+    vector: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self._validate(check_psd=True)
@@ -143,25 +159,18 @@ class DensityOperator:
     def pure(
         cls, vector, name: str = "", tol: Tolerance = DEFAULT_TOL
     ) -> "DensityOperator":
-        """Rank-one state |v><v| from a vector, normalized first."""
-        v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            raise ValidationError("pure state vector must be nonzero")
-        return cls._rank_one(v / norm, name=name, tol=tol)
+        """The rank-one state |v><v|, which keeps v read-only as `vector`.
 
-    @classmethod
-    def _rank_one(
-        cls, unit: np.ndarray, name: str, tol: Tolerance
-    ) -> "DensityOperator":
-        """The state |v><v| of a unit vector v, validated in O(d^2).
-
-        |v><v| is positive semidefinite for every v, so the O(d^3) eigenvalue
-        check is skipped. Hermiticity and trace are checked as for any state,
-        and the stored matrix is the one the full validation would store.
+        v is `vector` itself if its norm lies within 1e-12 of 1, so a pure
+        state saved and loaded again is the same state bit for bit; any other
+        nonzero vector is divided by its norm once. |v><v| is positive
+        semidefinite for every v, so the O(d^3) eigenvalue check is skipped;
+        Hermiticity and trace are checked as for any state, and the stored
+        matrix is the one the full validation would store.
         """
+        unit = _unit_vector(vector)
         rho = object.__new__(cls)
-        rho.__dict__.update(matrix=outer(unit), name=name, tol=tol)
+        rho.__dict__.update(matrix=outer(unit), name=name, tol=tol, vector=unit)
         rho._validate(check_psd=False)
         return rho
 
@@ -288,10 +297,18 @@ def commutation_projection(
     name = ""
     if a.name and b.name:
         name = f"C({a.name},{b.name})"
-    # A projector built from eigh's orthonormal columns needs no idempotency
-    # check; its Hermitian part is what validation would store.
-    k = kernel_projector(c, tol).array
-    return Projection._trusted(CMatrix._trusted(0.5 * (k + k.conj().T)), name=name, tol=tol)
+    return _eigh_projector(kernel_projector(c, tol).array, name, tol)
+
+
+def _eigh_projector(k: np.ndarray, name: str, tol: Tolerance) -> Projection:
+    """The projection k, built from eigh's orthonormal columns, unvalidated.
+
+    Such a projector needs no idempotency check (a d^3 product), and its
+    Hermiticity defect is rounding: it is stored as validation stores it.
+    """
+    p = Projection._trusted(CMatrix._trusted(k), name=name, tol=tol)
+    _store_hermitian_part(p, math.inf)
+    return p
 
 
 def orthogonal_sum(f: Projection, g: Projection, tol: Tolerance = DEFAULT_TOL) -> Projection:

@@ -13,6 +13,8 @@ Three built-in scenarios:
 Scenarios serialize to JSON with each complex entry an [re, im] number pair,
 written by one encoder and read by one decoder (ScenarioFormatError for bad
 nesting or leaves, DimensionError for a wrong size); loading re-validates all.
+A pure state (one built by DensityOperator.pure) is written as its vector,
+any other state as its matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product as cartesian
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -34,8 +36,8 @@ from .errors import (
     UnknownObservableError,
     ValidationError,
 )
-from .numerics import CMatrix, DEFAULT_TOL, MAX_DIM, Tolerance, hermiticity_defect, kron, max_abs, outer
-from .observables import DensityOperator, PMObservable, Projection, derived_projection
+from .numerics import CMatrix, DEFAULT_TOL, MAX_DIM, Tolerance, hermiticity_defect, kron, outer
+from .observables import DensityOperator, PMObservable, Projection, _unit_vector, derived_projection
 from .detection import _detects
 from .assignment import assignment_probs
 from .reporting import Report
@@ -197,74 +199,45 @@ class ConstraintClaim:
 Claim = Union[CommutationClaim, DetectionClaim, ConstraintClaim]
 
 
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """A named state, named projections, and the claims made about them.
 
-    Immutable after construction. Equality compares the scenario name, the
-    dimension, the state and observable matrices bit for bit, and the claims;
-    display names of individual operators are not part of equality.
+    Equality compares the scenario name, the dimension, the state and
+    observable matrices and a pure state's vector bit for bit, and the
+    claims; display names of individual operators are not part of equality.
     """
 
-    __slots__ = ("name", "dim", "state", "observables", "declared_claims", "state_vector")
+    name: str
+    dim: int
+    state: DensityOperator
+    observables: dict[str, Projection]
+    declared_claims: tuple[Claim, ...] = ()
 
-    def __init__(
-        self,
-        name: str,
-        dim: int,
-        state: DensityOperator,
-        observables: dict[str, Projection],
-        declared_claims: Sequence[Claim] = (),
-        state_vector: Optional[np.ndarray] = None,
-    ) -> None:
-        if state.dim != dim:
+    def __post_init__(self) -> None:
+        if self.state.dim != self.dim:
             raise DimensionError(
-                f"state dimension {state.dim} does not match scenario dim {dim}"
+                f"state dimension {self.state.dim} does not match scenario dim {self.dim}"
             )
-        for key, p in observables.items():
-            if p.dim != dim:
+        for key, p in self.observables.items():
+            if p.dim != self.dim:
                 raise DimensionError(
-                    f"observable {key!r} has dimension {p.dim}, expected {dim}"
+                    f"observable {key!r} has dimension {p.dim}, expected {self.dim}"
                 )
-        if state_vector is not None:
-            vec = np.array(state_vector, dtype=np.complex128, copy=True).reshape(-1)
-            if vec.shape[0] != dim:
-                raise DimensionError(
-                    f"state vector length {vec.shape[0]} does not match dim {dim}"
-                )
-            # save_scenario writes the vector, so it must stand for the state.
-            # Compared in 64-row bands: no d x d outer product is held.
-            u, rows = _unit_vector(vec), state.matrix.array
-            defect = max(
-                max_abs(np.outer(u[i : i + 64], u.conj()) - rows[i : i + 64])
-                for i in range(0, dim, 64)
-            )
-            if defect > state.tol.gate(dim):
-                raise ValidationError(
-                    f"state vector's projector lies {defect:.3e} from the state"
-                )
-            vec.setflags(write=False)
-        else:
-            vec = None
         referenced = set()
-        for claim in declared_claims:
+        for claim in self.declared_claims:
             if isinstance(claim, CommutationClaim):
                 referenced.update((claim.a, claim.b))
             elif isinstance(claim, DetectionClaim):
                 referenced.update((claim.t, claim.e))
-        missing = sorted(referenced - set(observables))
+        missing = sorted(referenced - set(self.observables))
         if missing:
             raise UnknownObservableError(
                 f"claims reference undeclared observables: {', '.join(missing)}"
             )
-        object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "observables", dict(observables))
-        object.__setattr__(self, "declared_claims", tuple(declared_claims))
-        object.__setattr__(self, "state_vector", vec)
-
-    def __setattr__(self, key, value) -> None:
-        raise AttributeError("Scenario is immutable")
+        # Own copies (the caller may edit its dict or list later); claims compare as a tuple.
+        object.__setattr__(self, "observables", dict(self.observables))
+        object.__setattr__(self, "declared_claims", tuple(self.declared_claims))
 
     def observable(self, name: str) -> Projection:
         try:
@@ -285,17 +258,14 @@ class Scenario:
             or set(self.observables) != set(other.observables)
         ):
             return False
+        u, v = self.state.vector, other.state.vector
+        if (u is None) != (v is None) or (u is not None and not np.array_equal(u, v)):
+            return False
         if not np.array_equal(self.state.matrix.array, other.state.matrix.array):
             return False
         for key, p in self.observables.items():
             if not np.array_equal(p.matrix.array, other.observables[key].matrix.array):
                 return False
-        if (self.state_vector is None) != (other.state_vector is None):
-            return False
-        if self.state_vector is not None and not np.array_equal(
-            self.state_vector, other.state_vector
-        ):
-            return False
         return True
 
     def __repr__(self) -> str:
@@ -303,18 +273,6 @@ class Scenario:
             f"Scenario({self.name!r}, dim={self.dim}, "
             f"observables={sorted(self.observables)})"
         )
-
-
-def _unit_vector(entries) -> np.ndarray:
-    v = np.array(entries, dtype=np.complex128, copy=True).reshape(-1)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValidationError("state vector must be nonzero")
-    # Do not renormalize an already-unit vector: keeps round trips bit-exact.
-    if abs(norm - 1.0) > 1e-12:
-        v = v / norm
-    v.setflags(write=False)
-    return v
 
 
 # Single-qubit blocks: projectors onto (|0>+|1>)/sqrt(2) and (|0>+i|1>)/sqrt(2).
@@ -364,8 +322,7 @@ def build_ghsz() -> Scenario:
     raw = np.zeros(16, dtype=np.complex128)
     raw[3] = 1.0
     raw[12] = -1.0
-    psi0 = _unit_vector(raw)
-    rho0 = DensityOperator(outer(psi0), name="rho0")
+    rho0 = DensityOperator.pure(raw, name="rho0")
 
     quadruple = ("E_alpha", "F", "G_beta", "L_alpha")
     claims: list[Claim] = [
@@ -394,7 +351,6 @@ def build_ghsz() -> Scenario:
             "S": s,
         },
         declared_claims=claims,
-        state_vector=psi0,
     )
 
 
@@ -493,6 +449,8 @@ def build_example_44(theta: float) -> Scenario:
     |1><1| (the two pure states for which the complement sum rule fails).
     """
     theta = float(theta)
+    if not math.isfinite(theta):
+        raise PreconditionError(f"theta must be a finite angle, got {theta!r}")
     if not 0.0 < theta < math.pi / 4.0:
         warnings.warn(
             f"theta={theta!r} lies outside the open interval (0, pi/4); "
@@ -500,8 +458,7 @@ def build_example_44(theta: float) -> Scenario:
             stacklevel=2,
         )
     e = Projection(_HALF_ONES, name="E")
-    f_vec = _unit_vector([math.cos(theta), 1j * math.sin(theta)])
-    f = Projection(outer(f_vec), name="F")
+    f = Projection(outer(_unit_vector([math.cos(theta), 1j * math.sin(theta)])), name="F")
     p1 = Projection(CMatrix([[1.0, 0.0], [0.0, 0.0]]), name="P1")
     p2 = Projection(CMatrix([[0.0, 0.0], [0.0, 1.0]]), name="P2")
     mixture = DensityOperator(
@@ -584,13 +541,13 @@ def build_rt_analogue() -> Scenario:
     vectors orthogonal to psi and overlapping by 1/2. The scenario state is
     |psi><psi|, which is detected by the rank-one T = |psi><psi| for both.
     """
-    psi = _unit_vector([1.0, 0.0, 0.0, 0.0])
+    state = DensityOperator.pure([1.0, 0.0, 0.0, 0.0], name="psi")
+    psi = state.vector
     u = np.array([0.0, 1.0, 0.0, 0.0], dtype=np.complex128)
     v = np.array([0.0, 0.5, math.sqrt(3.0) / 2.0, 0.0], dtype=np.complex128)
     e = Projection(outer(psi) + outer(u), name="E")
     f = Projection(outer(psi) + outer(v), name="F")
     t = Projection(outer(psi), name="T")
-    state = DensityOperator(outer(psi), name="psi")
     return Scenario(
         name="rt-analogue",
         dim=4,
@@ -601,7 +558,6 @@ def build_rt_analogue() -> Scenario:
             DetectionClaim("T", "E"),
             DetectionClaim("T", "F"),
         ],
-        state_vector=psi,
     )
 
 
@@ -634,8 +590,8 @@ def _claim_to_json(claim: Claim) -> dict:
 
 def save_scenario(scn: Scenario, path) -> None:
     """Write a scenario as JSON; floats serialize round-trip exactly."""
-    if scn.state_vector is not None:
-        state_json = {"type": "pure", "vector": _encode(scn.state_vector)}
+    if scn.state.vector is not None:
+        state_json = {"type": "pure", "vector": _encode(scn.state.vector)}
     else:
         state_json = {"type": "density", "matrix": _encode(scn.state.matrix.array)}
     doc = {
@@ -760,9 +716,9 @@ def load_scenario(path, tol: Tolerance = DEFAULT_TOL) -> Scenario:
 
     Every matrix is re-validated as a Projection or DensityOperator, so a
     hand-edited file with a broken invariant fails here with the invariant
-    named, not deep inside a later computation. A pure state |v><v| is
-    positive semidefinite by construction: its Hermiticity and trace are
-    checked, its eigenvalues are not.
+    named, not deep inside a later computation. A pure state is built by
+    DensityOperator.pure, which checks the Hermiticity and trace of |v><v|
+    but not its eigenvalues: it is positive semidefinite by construction.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -790,10 +746,9 @@ def load_scenario(path, tol: Tolerance = DEFAULT_TOL) -> Scenario:
     state_doc = doc["state"]
     if not isinstance(state_doc, dict) or "type" not in state_doc:
         raise ScenarioFormatError("state must be an object with a 'type' field")
-    state_vector: Optional[np.ndarray] = None
     if state_doc["type"] == "pure":
-        state_vector = _unit_vector(_decode(state_doc.get("vector"), dim, "state.vector", 1))
-        state = DensityOperator._rank_one(state_vector, name="state", tol=tol)
+        vector = _decode(state_doc.get("vector"), dim, "state.vector", 1)
+        state = DensityOperator.pure(vector, name="state", tol=tol)
     elif state_doc["type"] == "density":
         matrix = CMatrix(_decode(state_doc.get("matrix"), dim, "state.matrix", 2))
         state = DensityOperator(matrix, name="state", tol=tol)
@@ -821,5 +776,4 @@ def load_scenario(path, tol: Tolerance = DEFAULT_TOL) -> Scenario:
         state=state,
         observables=observables,
         declared_claims=claims,
-        state_vector=state_vector,
     )

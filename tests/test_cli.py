@@ -189,6 +189,19 @@ def test_example44_degenerate_angle(capsys):
     assert "no hidden-inconsistency" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("theta", ["inf", "-inf", "nan"])
+def test_example44_non_finite_theta_is_input_error(theta):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdetect", "example44", f"--theta={theta}"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "theta" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_c3_commuting_pair(ghsz_file, capsys):
     assert main(["c3", ghsz_file, "G_alpha", "F"]) == 0
     out = capsys.readouterr().out

@@ -18,7 +18,7 @@ from qdetect import (
     rank_one_detector,
     refinement_check,
 )
-from qdetect.numerics import hermiticity_defect
+from qdetect.numerics import DEFAULT_TOL, eigh, hermiticity_defect
 from qdetect.observables import commutator_defect
 
 from support import (
@@ -181,6 +181,22 @@ def test_rank_one_detector_on_overlapping_subspaces(rt):
     assert dist(detector.matrix, outer(np.eye(4)[0])) < 1e-7
     assert detects(detector, e, rt.state).holds
     assert detects(detector, f, rt.state).holds
+
+
+def test_rank_one_detector_trusts_its_eigh_projector(ghsz, rt, monkeypatch):
+    # No product re-checks idempotency; the matrix is bit for bit the one
+    # validation would store for the same eigh column.
+    pairs = [(rt.observable("E"), rt.observable("F")), (rt.observable("F"), rt.observable("E"))]
+    pairs += [(ghsz.observable(a), ghsz.observable(b)) for a, b in (("E_alpha", "F"), ("M", "G_alpha"))]
+    for e, f in pairs:
+        w, v = eigh(e.matrix + f.matrix, DEFAULT_TOL)
+        psi = v[:, int(np.flatnonzero(w >= 2.0 - DEFAULT_TOL.eig_cut)[-1])]
+        want = Projection(CMatrix(np.outer(psi, psi.conj()))).matrix.array
+        products = count_products(monkeypatch)
+        got = rank_one_detector(e, f).matrix.array
+        monkeypatch.undo()
+        assert products == []
+        assert got.tobytes() == want.tobytes()
 
 
 def test_rank_one_detector_none_when_ranges_disjoint():

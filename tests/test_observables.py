@@ -81,6 +81,7 @@ def test_density_operator_validation():
 def test_density_pure_normalizes():
     rho = DensityOperator.pure([2.0, 0.0])
     assert dist(rho.matrix, CMatrix(np.diag([1.0, 0.0]))) == 0.0
+    assert rho.vector.tolist() == [1.0, 0.0]
     with pytest.raises(ValidationError):
         DensityOperator.pure([0.0, 0.0])
 

@@ -210,24 +210,56 @@ def test_scenario_validation():
         Scenario("x", 2, rho, {"E": Projection(CMatrix(np.eye(3)))})
     with pytest.raises(UnknownObservableError):
         Scenario("x", 2, rho, {"E": e}, [DetectionClaim("E", "nope")])
-    with pytest.raises(DimensionError):
-        Scenario("x", 2, rho, {"E": e}, state_vector=np.ones(3))
 
 
-def test_scenario_refuses_state_vector_that_is_not_its_state(tmp_path):
-    # save_scenario writes the vector, so a mismatch would reload as |0><0|:
-    # Tr(rho.E) would go from 0.5 to 1.
-    rho = DensityOperator(CMatrix(np.eye(2) / 2))
+def test_unnormalized_vector_stands_for_its_normalized_projector(tmp_path):
     e = Projection(CMatrix(np.diag([1.0, 0.0])), name="E")
-    with pytest.raises(ValidationError, match="state vector"):
-        Scenario("x", 2, rho, {"E": e}, state_vector=[1, 0])
     with pytest.raises(ValidationError, match="nonzero"):
-        Scenario("x", 2, rho, {"E": e}, state_vector=[0, 0])
-    # An unnormalized vector stands for its normalized projector.
-    pure = DensityOperator(CMatrix(np.diag([1.0, 0.0])))
-    scn = Scenario("x", 2, pure, {"E": e}, state_vector=[2, 0])
+        DensityOperator.pure([0, 0])
+    scn = Scenario("x", 2, DensityOperator.pure([2, 0]), {"E": e})
+    assert scn.state.vector.tolist() == [1, 0]
     save_scenario(scn, tmp_path / "pure.json")
-    assert load_scenario(tmp_path / "pure.json").state.expectation(e) == 1.0
+    loaded = load_scenario(tmp_path / "pure.json")
+    assert loaded == scn
+    assert loaded.state.expectation(e) == 1.0
+
+
+def test_pure_rebuilds_the_ghsz_state_bit_for_bit(ghsz):
+    again = DensityOperator.pure(ghsz.state.vector)
+    assert again.vector.tobytes() == ghsz.state.vector.tobytes()
+    assert again.matrix.array.tobytes() == ghsz.state.matrix.array.tobytes()
+    rebuilt = Scenario(ghsz.name, ghsz.dim, again, ghsz.observables, ghsz.declared_claims)
+    assert rebuilt == ghsz
+
+
+@pytest.mark.parametrize("offset", [1e-13, -1e-13, 1e-9, -1e-9])
+def test_near_unit_vector_round_trips_byte_for_byte(tmp_path, offset):
+    # Within 1e-12 of unit norm a vector is kept as given; farther off it is
+    # divided by its norm once. Either way the saved vector loads unchanged.
+    rng = np.random.default_rng(17)
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    v *= (1.0 + offset) / np.linalg.norm(v)
+    state = DensityOperator.pure(v)
+    if abs(offset) < 1e-12:
+        assert state.vector.tobytes() == v.tobytes()
+    else:
+        assert abs(np.linalg.norm(state.vector) - 1.0) < 1e-15
+    e = Projection(CMatrix(np.diag([1.0] * 4 + [0.0] * 4)), name="E")
+    scn = Scenario("near-unit", 8, state, {"E": e})
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_scenario(scn, first)
+    loaded = load_scenario(first)
+    save_scenario(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert loaded == scn
+
+
+def test_state_vector_is_fixed_by_construction():
+    rho = DensityOperator.pure([1.0, 1.0])
+    assert not rho.vector.flags.writeable
+    assert DensityOperator(rho.matrix).vector is None
+    with pytest.raises(TypeError):
+        DensityOperator(rho.matrix, vector=rho.vector)
 
 
 def test_scenario_immutable_and_lookup(ghsz):
@@ -253,8 +285,8 @@ def test_build_ghsz_structure(ghsz):
     assert ghsz.dim == 16
     assert len(ghsz.observables) == 11
     assert len(ghsz.declared_claims) == 15
-    assert ghsz.state_vector is not None
-    np.testing.assert_array_equal(ghsz.state_vector, ghz_vector())
+    assert ghsz.state.vector is not None
+    np.testing.assert_array_equal(ghsz.state.vector, ghz_vector())
     assert np.max(np.abs(ghsz.state.matrix.array - outer_oracle_state())) < 1e-15
 
 
@@ -292,9 +324,7 @@ def test_verify_ghsz_conclusion_needs_zero_count(ghsz):
     claims = [
         c for c in ghsz.declared_claims if not isinstance(c, ConstraintClaim)
     ] + [ConstraintClaim(flipped, satisfiable=True)]
-    scn = Scenario(
-        "ghsz-flipped", 16, ghsz.state, ghsz.observables, claims, ghsz.state_vector
-    )
+    scn = Scenario("ghsz-flipped", 16, ghsz.state, ghsz.observables, claims)
     report = verify_ghsz(scn)
     by_name = {c.name: c for c in report.checks}
     assert by_name["constraints:satisfiable"].passed
@@ -360,6 +390,14 @@ def test_example_44_warns_outside_working_range():
         build_example_44(0.0)
 
 
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_example_44_refuses_a_non_finite_angle():
+    # Refused before the range warning, which would otherwise fire first.
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError, match="theta"):
+            build_example_44(theta)
+
+
 def test_verify_example_44_at_pi_sixth():
     report = verify_example_44(math.pi / 6.0)
     assert report.all_passed
@@ -401,7 +439,7 @@ def test_rt_analogue_structure(rt):
     assert report.all_passed
     cp = commutation_projection(rt.observable("E"), rt.observable("F"))
     assert cp.rank() == 2
-    psi = rt.state_vector
+    psi = rt.state.vector
     assert np.max(np.abs(cp.matrix.array @ psi - psi)) < 1e-10
     e3 = np.eye(4)[3]
     assert np.max(np.abs(cp.matrix.array @ e3 - e3)) < 1e-10
@@ -431,13 +469,13 @@ def test_round_trip_is_byte_stable(tmp_path):
 def test_round_trip_preserves_state_kind(tmp_path):
     path = tmp_path / "mix.json"
     scn = build_example_44(math.pi / 6.0)
-    assert scn.state_vector is None
+    assert scn.state.vector is None
     save_scenario(scn, path)
-    assert load_scenario(path).state_vector is None
+    assert load_scenario(path).state.vector is None
     path2 = tmp_path / "pure.json"
     save_scenario(build_rt_analogue(), path2)
     again = load_scenario(path2)
-    assert again.state_vector is not None
+    assert again.state.vector is not None
     assert json.loads(path2.read_text())["state"]["type"] == "pure"
 
 
@@ -473,7 +511,7 @@ def test_pure_state_load_runs_no_eigenvalue_check(tmp_path, monkeypatch):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v /= np.linalg.norm(v)
     e = Projection(CMatrix(np.diag([1.0] * 32 + [0.0] * 32)), name="E")
-    scn = Scenario("pure", dim, DensityOperator.pure(v), {"E": e}, state_vector=v)
+    scn = Scenario("pure", dim, DensityOperator.pure(v), {"E": e})
     path = tmp_path / "pure.json"
     save_scenario(scn, path)
 
@@ -484,7 +522,7 @@ def test_pure_state_load_runs_no_eigenvalue_check(tmp_path, monkeypatch):
     )
     loaded = load_scenario(path)
     assert calls == []
-    u = loaded.state_vector
+    u = loaded.state.vector
     full = DensityOperator(CMatrix(np.outer(u, u.conj())), name="state")
     assert calls == [(dim, dim)]
     assert loaded == scn
@@ -497,7 +535,7 @@ def test_pure_state_load_runs_no_eigenvalue_check(tmp_path, monkeypatch):
         load_scenario(_write(tmp_path, doc, "negative.json"))
     assert len(calls) == 2
     doc["state"] = {"type": "density", "matrix": [[one, zero], [zero, zero]]}
-    assert load_scenario(_write(tmp_path, doc, "density.json")).state_vector is None
+    assert load_scenario(_write(tmp_path, doc, "density.json")).state.vector is None
     assert len(calls) == 3
 
 
@@ -691,7 +729,7 @@ def test_decode_matches_per_entry_reference():
 def test_encode_matches_per_entry_reference():
     rng = np.random.default_rng(405)
     arrays = [p.matrix.array for p in build_ghsz().observables.values()]
-    arrays.append(build_ghsz().state_vector)
+    arrays.append(build_ghsz().state.vector)
     for dim in (1, 2, 5, 16):
         for shape in ((dim,), (dim, dim)):
             doc = _random_pair_doc(rng, shape + (2,))
