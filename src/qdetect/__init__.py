@@ -26,7 +26,6 @@ from .numerics import (
     DEFAULT_TOL,
     MAX_DIM,
     Tolerance,
-    adjoint,
     dist,
     eigh,
     identity,
@@ -42,7 +41,6 @@ from .observables import (
     PMObservable,
     Projection,
     commutation_projection,
-    commutator,
     commutator_defect,
     commutes,
     complement,
@@ -77,12 +75,10 @@ from .scenarios import (
     ConstraintSet,
     DetectionClaim,
     Scenario,
-    SignAssignment,
     SignEquation,
     build_example_44,
     build_ghsz,
     build_rt_analogue,
-    enumerate_constraints,
     ghsz_sign_constraints,
     load_scenario,
     save_scenario,

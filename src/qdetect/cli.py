@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from .assignment import (
@@ -286,11 +287,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         tol = Tolerance(atol=args.tol, eig_cut=args.eig_cut)
-        report = args.run(args, tol)
+        # The filters stay the user's; only the display drops the source line.
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            report = args.run(args, tol)
     except ToolkitError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

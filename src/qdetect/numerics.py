@@ -178,10 +178,6 @@ def mul(*factors: CMatrix) -> CMatrix:
     return out
 
 
-def adjoint(a: CMatrix) -> CMatrix:
-    return CMatrix(a.array.conj().T)
-
-
 def trace(a: CMatrix) -> complex:
     return complex(np.trace(a.array))
 
@@ -236,15 +232,6 @@ def kernel_projector(a: CMatrix, tol: Tolerance = DEFAULT_TOL) -> CMatrix:
     if cols.shape[1] == 0:
         return zeros(a.dim)
     return CMatrix(cols @ cols.conj().T)
-
-
-def basis_vector(dim: int, index: int) -> np.ndarray:
-    """Standard basis column vector e_index in C^dim."""
-    if not 0 <= index < dim:
-        raise DimensionError(f"index {index} out of range for dimension {dim}")
-    e = np.zeros(dim, dtype=np.complex128)
-    e[index] = 1.0
-    return e
 
 
 def outer(u: Sequence[complex] | np.ndarray, v: Sequence[complex] | np.ndarray | None = None) -> CMatrix:

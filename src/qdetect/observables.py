@@ -104,13 +104,25 @@ class Projection:
 
 
 def _unit_vector(vector) -> np.ndarray:
-    """`vector` as a read-only complex unit vector, by the rule of `pure`."""
+    """`vector` as a read-only complex unit vector, by the rule of `pure`.
+
+    The norm is taken of `vector` scaled by 2**-e, where 2**e is the power
+    of two just above its largest entry, so it cannot overflow. Scaling by
+    a power of two is exact, so the norm and the quotients are those of the
+    unscaled vector wherever that did not overflow.
+    """
     v = np.array(vector, dtype=np.complex128, copy=True).reshape(-1)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
+    if not np.isfinite(v).all():
+        raise ValidationError("pure state vector entries must be finite")
+    top = float(np.abs(v).max(initial=0.0))
+    if top == 0.0:
         raise ValidationError("pure state vector must be nonzero")
-    if abs(norm - 1.0) > 1e-12:
-        v = v / norm
+    e = math.frexp(top)[1]
+    scaled = np.ldexp(v.view(np.float64), -e).view(np.complex128)
+    norm = float(np.linalg.norm(scaled))
+    # |vector| = norm * 2**e can lie near 1 only for small e, where ldexp is finite.
+    if abs(e) > 64 or abs(math.ldexp(norm, e) - 1.0) > 1e-12:
+        v = scaled / norm
     v.setflags(write=False)
     return v
 
@@ -215,16 +227,12 @@ def complement(p: Projection) -> Projection:
     return Projection._trusted(CMatrix._trusted(m), name=name, tol=p.tol)
 
 
-def commutator(a: CMatrix, b: CMatrix) -> CMatrix:
-    return a @ b - b @ a
-
-
 def commutator_defect(a: CMatrix, b: CMatrix) -> float:
     """Max-abs size of [a, b] for Hermitian a and b; zero means compatible.
 
     For Hermitian inputs b.a = (a.b)^dagger, so the commutator costs one
     product. Every caller passes validated projections or +-1 observables;
-    use `commutator` for anything else.
+    for non-Hermitian inputs this is not the size of a.b - b.a.
     """
     return hermiticity_defect(a @ b)
 

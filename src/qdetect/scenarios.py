@@ -3,8 +3,8 @@
 Three built-in scenarios:
 
 * a four-qubit GHSZ-style setup whose four detection relations, combined
-  with an exhaustively enumerable set of sign constraints, rule out reading
-  detector outcomes as pre-existing measured values;
+  with a sign-constraint system that has no joint +-1 solution, rule out
+  reading detector outcomes as pre-existing measured values;
 * a two-dimensional counterexample where the complement sum rule fails for
   two pure states yet holds for their even mixture;
 * a four-dimensional pair of non-commuting rank-two projections sharing a
@@ -24,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product as cartesian
+from itertools import combinations
 from typing import Optional, Union
 
 import numpy as np
@@ -53,31 +53,10 @@ CONSTRAINT_SYMBOLS = (
     "d_beta",
 )
 
-
-@dataclass(frozen=True)
-class SignAssignment:
-    """One choice of +-1 value for every constraint symbol."""
-
-    values: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        for symbol, value in self.values:
-            if value not in (1, -1):
-                raise ValidationError(
-                    f"sign for {symbol} must be +1 or -1, got {value}"
-                )
-        names = [s for s, _ in self.values]
-        if len(set(names)) != len(names):
-            raise ValidationError("duplicate symbol in sign assignment")
-
-    def __getitem__(self, symbol: str) -> int:
-        for s, v in self.values:
-            if s == symbol:
-                return v
-        raise UnknownObservableError(f"no sign recorded for {symbol!r}")
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.values)
+# Most symbols a constraint set may declare. Solutions are counted by
+# elimination, so the cap bounds the size of the counts (2^64 at most, still
+# exact as a float residual and short as a detail string), not the work.
+MAX_SYMBOLS = 64
 
 
 @dataclass(frozen=True)
@@ -94,11 +73,6 @@ class SignEquation:
         if not self.left or not self.right:
             raise ValidationError("equation monomials must be nonempty")
 
-    def satisfied_by(self, assignment: SignAssignment) -> bool:
-        lhs = math.prod(assignment[s] for s in self.left)
-        rhs = math.prod(assignment[s] for s in self.right)
-        return lhs == self.sign * rhs
-
 
 @dataclass(frozen=True)
 class ConstraintSet:
@@ -108,6 +82,11 @@ class ConstraintSet:
     equations: tuple[SignEquation, ...]
 
     def __post_init__(self) -> None:
+        if len(self.symbols) > MAX_SYMBOLS:
+            raise ValidationError(
+                f"constraint set declares {len(self.symbols)} symbols; "
+                f"at most {MAX_SYMBOLS} are allowed"
+            )
         known = set(self.symbols)
         if len(known) != len(self.symbols):
             raise ValidationError(f"constraint symbols must be unique, got {self.symbols}")
@@ -115,9 +94,6 @@ class ConstraintSet:
             for s in eq.left + eq.right:
                 if s not in known:
                     raise ValidationError(f"equation uses undeclared symbol {s!r}")
-
-    def satisfied_by(self, assignment: SignAssignment) -> bool:
-        return all(eq.satisfied_by(assignment) for eq in self.equations)
 
 
 def ghsz_sign_constraints() -> ConstraintSet:
@@ -136,31 +112,13 @@ def ghsz_sign_constraints() -> ConstraintSet:
     )
 
 
-def enumerate_constraints(
-    cs: ConstraintSet,
-) -> tuple[list[SignAssignment], int]:
-    """Exhaustive check of every +-1 assignment against the constraint set.
-
-    Returns the satisfying assignments and the total number tried (2^k for
-    k symbols). verify_scenario counts by elimination instead; this is the
-    reference it is tested against.
-    """
-    satisfying = []
-    total = 0
-    for signs in cartesian((1, -1), repeat=len(cs.symbols)):
-        total += 1
-        assignment = SignAssignment(tuple(zip(cs.symbols, signs)))
-        if cs.satisfied_by(assignment):
-            satisfying.append(assignment)
-    return satisfying, total
-
-
 def _solution_count(cs: ConstraintSet) -> int:
     """Number of +-1 assignments satisfying cs, by elimination over GF(2).
 
     With s = (-1)**x each equation is one row: XOR of x over left and right
     (a repeated symbol cancels) = [sign == -1]. A consistent system of rank
     r over k symbols has 2**(k - r) solutions, an inconsistent one none.
+    The tests check this count against a brute force over all 2**k signs.
     """
     bit = {s: 2 << i for i, s in enumerate(cs.symbols)}  # bit 0 holds the sign
     pivots: dict[int, int] = {}  # bit length -> reduced row with that leading bit
@@ -441,13 +399,9 @@ def verify_ghsz(scn: Scenario, tol: Tolerance = DEFAULT_TOL) -> Report:
     return report
 
 
-def build_example_44(theta: float) -> Scenario:
-    """Two-dimensional hidden-inconsistency counterexample at angle theta.
-
-    E projects onto (|0>+|1>)/sqrt(2); F projects onto cos(theta)|0> +
-    i sin(theta)|1>. The scenario state is the even mixture of |0><0| and
-    |1><1| (the two pure states for which the complement sum rule fails).
-    """
+def _example_44_angle(theta: float) -> float:
+    """theta as a finite float; warns, at the line that called the public
+    function that called this one, if it lies outside (0, pi/4)."""
     theta = float(theta)
     if not math.isfinite(theta):
         raise PreconditionError(f"theta must be a finite angle, got {theta!r}")
@@ -455,8 +409,22 @@ def build_example_44(theta: float) -> Scenario:
         warnings.warn(
             f"theta={theta!r} lies outside the open interval (0, pi/4); "
             "the construction still works but the sum-rule failure may vanish",
-            stacklevel=2,
+            stacklevel=3,
         )
+    return theta
+
+
+def build_example_44(theta: float) -> Scenario:
+    """Two-dimensional hidden-inconsistency counterexample at angle theta.
+
+    E projects onto (|0>+|1>)/sqrt(2); F projects onto cos(theta)|0> +
+    i sin(theta)|1>. The scenario state is the even mixture of |0><0| and
+    |1><1| (the two pure states for which the complement sum rule fails).
+    """
+    return _example_44(_example_44_angle(theta))
+
+
+def _example_44(theta: float) -> Scenario:
     e = Projection(_HALF_ONES, name="E")
     f = Projection(outer(_unit_vector([math.cos(theta), 1j * math.sin(theta)])), name="F")
     p1 = Projection(CMatrix([[1.0, 0.0], [0.0, 0.0]]), name="P1")
@@ -480,14 +448,15 @@ def verify_example_44(theta: float, tol: Tolerance = DEFAULT_TOL) -> Report:
     the first pure state, by |sin^2(theta) - 1/2| at the second, and must
     hold exactly at their even mixture.
     """
-    scn = build_example_44(theta)
+    theta = _example_44_angle(theta)
+    scn = _example_44(theta)
     e = scn.observable("E")
     f = scn.observable("F")
     rho1 = DensityOperator(scn.observable("P1").matrix, name="rho1")
     rho2 = DensityOperator(scn.observable("P2").matrix, name="rho2")
     gate = tol.gate(scn.dim)
 
-    report = Report(command="example44", inputs={"theta": float(theta)})
+    report = Report(command="example44", inputs={"theta": theta})
     predicted = {
         "rho1": abs(math.cos(theta) ** 2 - 0.5),
         "rho2": abs(math.sin(theta) ** 2 - 0.5),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 
 import numpy as np
 
@@ -315,6 +316,23 @@ def reference_joint_atoms(observables, rho, eig_cut: float = 1e-8) -> tuple[dict
     clamped = {omega: (0.0 if abs(p) <= eig_cut else p) for omega, p in raw.items()}
     mass = sum(clamped.values())
     return {omega: p / mass for omega, p in clamped.items()}, mass
+
+
+def brute_force_constraints(cs) -> tuple[list[dict], int]:
+    """Every +-1 assignment of cs.symbols that satisfies each equation of cs,
+    as a symbol -> sign dict, and the number tried (2^k for k symbols): the
+    reference for the elimination count of verify_scenario."""
+    satisfying = []
+    tried = 0
+    for signs in itertools.product((1, -1), repeat=len(cs.symbols)):
+        tried += 1
+        a = dict(zip(cs.symbols, signs))
+        if all(
+            math.prod(a[s] for s in eq.left) == eq.sign * math.prod(a[s] for s in eq.right)
+            for eq in cs.equations
+        ):
+            satisfying.append(a)
+    return satisfying, tried
 
 
 # Per-entry reference of the scenario-file array codec: one Python complex

@@ -202,6 +202,40 @@ def test_example44_non_finite_theta_is_input_error(theta):
     assert "Traceback" not in proc.stderr
 
 
+def test_example44_range_warning_is_one_stderr_line(capsys):
+    assert main(["example44", "--theta", "1.0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: theta=1.0")
+    assert ".py:" not in captured.err
+    assert "[PASS] hidden-inconsistency" in captured.out
+
+
+@pytest.mark.parametrize("entry, code", [("1e308", 0), ("Infinity", 2)])
+def test_state_vector_entries_near_the_float_limit(tmp_path, entry, code):
+    # A huge finite vector loads; an infinite entry is an input error. Under
+    # -W error a RuntimeWarning from either would end in a traceback.
+    text = json.dumps(
+        {
+            "name": "edge",
+            "dim": 2,
+            "state": {"type": "pure", "vector": [["X", 0.0], ["X", 0.0]]},
+            "observables": {"E": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+            "claims": [],
+        }
+    ).replace('"X"', entry)
+    path = tmp_path / "edge.json"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qdetect", "detect", str(path), "E", "E"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert proc.stderr == "error: pure state vector entries must be finite\n"
+
+
 def test_c3_commuting_pair(ghsz_file, capsys):
     assert main(["c3", ghsz_file, "G_alpha", "F"]) == 0
     out = capsys.readouterr().out

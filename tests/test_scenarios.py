@@ -19,7 +19,6 @@ from qdetect import (
     Projection,
     Scenario,
     ScenarioFormatError,
-    SignAssignment,
     SignEquation,
     UnknownObservableError,
     ValidationError,
@@ -29,7 +28,6 @@ from qdetect import (
     check_C3,
     commutation_projection,
     complement,
-    enumerate_constraints,
     ghsz_sign_constraints,
     load_scenario,
     save_scenario,
@@ -38,9 +36,10 @@ from qdetect import (
     verify_scenario,
 )
 from qdetect.cli import main
-from qdetect.scenarios import CONSTRAINT_SYMBOLS, _decode, _encode
+from qdetect.scenarios import CONSTRAINT_SYMBOLS, MAX_SYMBOLS, _decode, _encode
 
 from support import (
+    brute_force_constraints,
     count_products,
     ghz_vector,
     outer_oracle_state,
@@ -55,27 +54,15 @@ from support import (
 # Sign-constraint system
 
 
-def test_sign_assignment_validation():
-    SignAssignment((("p", 1), ("q", -1)))
-    with pytest.raises(ValidationError):
-        SignAssignment((("p", 0),))
-    with pytest.raises(ValidationError):
-        SignAssignment((("p", 1), ("p", -1)))
-    a = SignAssignment((("p", 1), ("q", -1)))
-    assert a["q"] == -1
-    assert a.as_dict() == {"p": 1, "q": -1}
-    with pytest.raises(UnknownObservableError):
-        a["r"]
-
-
 def test_sign_equation_validation_and_semantics():
     with pytest.raises(ValidationError):
         SignEquation(("p",), ("q",), 2)
     with pytest.raises(ValidationError):
         SignEquation((), ("q",), 1)
     eq = SignEquation(("p", "q"), ("r",), -1)
-    assert eq.satisfied_by(SignAssignment((("p", 1), ("q", 1), ("r", -1))))
-    assert not eq.satisfied_by(SignAssignment((("p", 1), ("q", 1), ("r", 1))))
+    satisfying, _ = brute_force_constraints(ConstraintSet(("p", "q", "r"), (eq,)))
+    assert {"p": 1, "q": 1, "r": -1} in satisfying
+    assert {"p": 1, "q": 1, "r": 1} not in satisfying
 
 
 def test_constraint_set_rejects_undeclared_symbol():
@@ -85,29 +72,30 @@ def test_constraint_set_rejects_undeclared_symbol():
 
 def test_enumerate_two_symbol_set():
     cs = ConstraintSet(("p", "q"), (SignEquation(("p",), ("q",), 1),))
-    satisfying, total = enumerate_constraints(cs)
+    satisfying, total = brute_force_constraints(cs)
     assert total == 4
     assert len(satisfying) == 2
     for a in satisfying:
         assert a["p"] == a["q"]
 
 
-def _brute_force_count(fourth_sign: int) -> int:
+def _longhand_holds(signs, fourth_sign: int) -> bool:
     # Written out longhand, independent of the SignEquation machinery.
-    count = 0
-    for a_al, a_be, b, c_al, c_be, d_al, d_be in cartesian((1, -1), repeat=7):
-        if (
-            a_al * b == -c_al * d_al
-            and a_be * b == -c_be * d_al
-            and a_be * b == -c_al * d_be
-            and a_al * b == fourth_sign * c_be * d_be
-        ):
-            count += 1
-    return count
+    a_al, a_be, b, c_al, c_be, d_al, d_be = signs
+    return (
+        a_al * b == -c_al * d_al
+        and a_be * b == -c_be * d_al
+        and a_be * b == -c_al * d_be
+        and a_al * b == fourth_sign * c_be * d_be
+    )
+
+
+def _brute_force_count(fourth_sign: int) -> int:
+    return sum(_longhand_holds(signs, fourth_sign) for signs in cartesian((1, -1), repeat=7))
 
 
 def test_ghsz_constraints_unsatisfiable():
-    satisfying, total = enumerate_constraints(ghsz_sign_constraints())
+    satisfying, total = brute_force_constraints(ghsz_sign_constraints())
     assert total == 128
     assert len(satisfying) == 0
     assert _brute_force_count(+1) == 0
@@ -121,13 +109,13 @@ def test_flipping_fourth_sign_restores_satisfiability():
     last = eqs[-1]
     eqs[-1] = SignEquation(last.left, last.right, -last.sign)
     flipped = ConstraintSet(base.symbols, tuple(eqs))
-    satisfying, total = enumerate_constraints(flipped)
+    satisfying, total = brute_force_constraints(flipped)
     assert total == 128
     assert len(satisfying) == 16
     assert _brute_force_count(-1) == 16
     for a in satisfying:
-        assert flipped.satisfied_by(a)
-        assert set(a.as_dict()) == set(CONSTRAINT_SYMBOLS)
+        assert _longhand_holds([a[s] for s in CONSTRAINT_SYMBOLS], -1)
+        assert set(a) == set(CONSTRAINT_SYMBOLS)
 
 
 def _constraint_report(cs: ConstraintSet, satisfiable: bool = True):
@@ -139,8 +127,9 @@ def _constraint_report(cs: ConstraintSet, satisfiable: bool = True):
 
 def test_verify_counts_match_enumeration():
     rng = np.random.default_rng(59)
-    for _ in range(60):
-        k = int(rng.integers(1, 13))
+    # 60 random sizes up to 12 symbols, then systems of dense-verify's 13 and 14.
+    for k in [0] * 60 + [13, 14, 13, 14]:
+        k = k or int(rng.integers(1, 13))
         symbols = tuple(f"s{i}" for i in range(k))
 
         def monomial():
@@ -152,7 +141,7 @@ def test_verify_counts_match_enumeration():
             for _ in range(int(rng.integers(0, k + 2)))
         )
         cs = ConstraintSet(symbols, eqs)
-        satisfying, total = enumerate_constraints(cs)
+        satisfying, total = brute_force_constraints(cs)
         check = _constraint_report(cs)
         assert check.residual == float(len(satisfying))
         assert check.detail == f"{len(satisfying)} of {total} sign assignments satisfy"
@@ -162,11 +151,7 @@ def test_verify_counts_match_enumeration():
     )
 
 
-def test_verify_counts_forty_symbols_without_enumeration(monkeypatch):
-    def refuse(cs):
-        raise AssertionError("verify_scenario enumerated 2^k assignments")
-
-    monkeypatch.setattr("qdetect.scenarios.enumerate_constraints", refuse)
+def test_verify_counts_forty_symbols_without_enumeration():
     symbols = tuple(f"s{i:02d}" for i in range(40))
     # s00 = s01 = ... = s30: rank 30, so 2^10 of the 2^40 assignments.
     chain = tuple(SignEquation((a,), (b,), 1) for a, b in zip(symbols[:30], symbols[1:31]))
@@ -177,6 +162,34 @@ def test_verify_counts_forty_symbols_without_enumeration(monkeypatch):
     contradiction = chain + (SignEquation(("s00",), ("s30",), -1),)
     check = _constraint_report(ConstraintSet(symbols, contradiction), False)
     assert check.passed and check.residual == 0.0
+
+
+def test_constraint_sets_cap_their_symbols(ghsz_file, tmp_path):
+    # 64 free symbols: every one of the 2^64 assignments satisfies, counted
+    # exactly in the residual and the detail.
+    check = _constraint_report(_free_symbols(MAX_SYMBOLS))
+    assert check.residual == float(2**64)
+    assert check.detail == (
+        "18446744073709551616 of 18446744073709551616 sign assignments satisfy"
+    )
+    with pytest.raises(ValidationError, match="65 symbols; at most 64"):
+        _free_symbols(MAX_SYMBOLS + 1)
+    # A file carrying such a claim is an input error for any command.
+    with open(ghsz_file) as handle:
+        doc = json.load(handle)
+    doc["claims"].append(_claim_doc(MAX_SYMBOLS + 1))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["detect", str(path), "M", "G_alpha"]) == 2
+
+
+def _free_symbols(k: int) -> ConstraintSet:
+    return ConstraintSet(tuple(f"s{i:02d}" for i in range(k)), ())
+
+
+def _claim_doc(k: int) -> dict:
+    symbols = [f"s{i:02d}" for i in range(k)]
+    return {"kind": "constraints", "symbols": symbols, "equations": [], "satisfiable": True}
 
 
 def test_verify_rejects_duplicate_symbols():
@@ -222,6 +235,8 @@ def test_unnormalized_vector_stands_for_its_normalized_projector(tmp_path):
     loaded = load_scenario(tmp_path / "pure.json")
     assert loaded == scn
     assert loaded.state.expectation(e) == 1.0
+    save_scenario(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "pure.json").read_bytes()
 
 
 def test_pure_rebuilds_the_ghsz_state_bit_for_bit(ghsz):
@@ -388,6 +403,11 @@ def test_example_44_warns_outside_working_range():
         build_example_44(1.0)
     with pytest.warns(UserWarning):
         build_example_44(0.0)
+    # Each public call warns at its caller's line, not at a library line.
+    for call in (build_example_44, verify_example_44):
+        with pytest.warns(UserWarning) as record:
+            call(1.0)
+        assert [w.filename for w in record] == [__file__]
 
 
 @pytest.mark.filterwarnings("error::UserWarning")
@@ -460,10 +480,12 @@ def test_round_trip_all_builtin_scenarios(tmp_path):
 def test_round_trip_is_byte_stable(tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
-    scn = build_ghsz()
-    save_scenario(scn, first)
-    save_scenario(load_scenario(first), second)
-    assert first.read_bytes() == second.read_bytes()
+    ghsz = build_ghsz()
+    wide = ConstraintClaim(_free_symbols(MAX_SYMBOLS), satisfiable=True)
+    for scn in (ghsz, Scenario("wide", 16, ghsz.state, {}, [wide])):
+        save_scenario(scn, first)
+        save_scenario(load_scenario(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 def test_round_trip_preserves_state_kind(tmp_path):
