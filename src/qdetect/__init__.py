@@ -38,7 +38,6 @@ from .numerics import (
 )
 from .observables import (
     DensityOperator,
-    PMObservable,
     Projection,
     commutation_projection,
     commutator_defect,

@@ -119,17 +119,17 @@ def cond_prob(
     gate = tol.gate(f.dim)
     labels = [f.name or "F", g.name or "G"]
     _require_pairwise_commuting(labels, [f.matrix, g.matrix], gate, CoMeasurabilityError)
-    return _conditional(f, g, rho, gate)
+    return _conditional(rho.matrix @ f.matrix, g, rho, gate)
 
 
-def _conditional(f: Projection, g: Projection, rho: DensityOperator, gate: float) -> float:
-    """P(F | G) for a pair already known to commute."""
+def _conditional(rho_f: CMatrix, g: Projection, rho: DensityOperator, gate: float) -> float:
+    """P(F | G) from rho_f = rho.F, for F and G already known to commute."""
     den = _real_trace("Tr(rho.G)", gate, rho.matrix, g.matrix)
     if den <= gate:
         raise UndefinedConditionalError(
             f"conditioning on {g.name or 'G'} with probability {den!r}"
         )
-    num = _real_trace("Tr(rho.F.G)", gate, rho.matrix, f.matrix, g.matrix)
+    num = _real_trace("Tr(rho.F.G)", gate, rho_f, g.matrix)
     return _assert_probability(num / den, gate, "P(F|G)")
 
 
@@ -181,14 +181,16 @@ def _simulation_equalities(
 ) -> tuple[SimulationEquality, ...]:
     """simulation_equalities for a detecting pair and F known to commute with both."""
     gate = tol.gate(t.dim)
+    pairings = ((t, e), (complement(t), complement(e)))
     results = []
     for i, f in enumerate(f_list):
+        rho_f = rho.matrix @ f.matrix
         notes = []
         defects: list[Optional[float]] = []
-        for a, b in ((t, e), (complement(t), complement(e))):
+        for a, b in pairings:
             try:
-                lhs = _conditional(f, a, rho, gate)
-                rhs = _conditional(f, b, rho, gate)
+                lhs = _conditional(rho_f, a, rho, gate)
+                rhs = _conditional(rho_f, b, rho, gate)
                 defects.append(abs(lhs - rhs))
             except UndefinedConditionalError:
                 defects.append(None)

@@ -26,7 +26,7 @@ from .assignment import (
     check_C1,
     joint_distribution,
 )
-from .detection import _complement_lemma, detects
+from .detection import detects
 from .ensemble import (
     check_request, check_support_statements, check_z, detection_frequency_audit, sample_ensemble
 )
@@ -88,12 +88,6 @@ def cmd_detect(args: argparse.Namespace, tol: Tolerance) -> Report:
         residual=check.state_equal_defect,
         ref="detection:holds",
         detail=check.note,
-    )
-    lemma = _complement_lemma(t, e, rho, tol, check.holds)
-    report.add(
-        name="complement-lemma",
-        passed=lemma == check.holds,
-        ref="detection:complement-lemma",
     )
     if check.holds:
         compatible = [
@@ -299,7 +293,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             report = args.run(args, tol)
-    except ToolkitError as err:
+    except (ToolkitError, Warning) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     report.inputs.update({"tol": tol.atol, "eig_cut": tol.eig_cut})

@@ -153,13 +153,7 @@ def complement_lemma_check(
     Returns the shared truth value; a disagreement between the two sides
     would be a numerics bug and raises instead of returning.
     """
-    return _complement_lemma(t, e, rho, tol, detects(t, e, rho, tol).holds)
-
-
-def _complement_lemma(
-    t: Projection, e: Projection, rho: DensityOperator, tol: Tolerance, direct: bool
-) -> bool:
-    """complement_lemma_check given the verdict `direct` of detects(t, e, rho)."""
+    direct = detects(t, e, rho, tol).holds
     complemented = detects(complement(t), complement(e), rho, tol).holds
     if direct != complemented:
         raise LemmaViolationError(

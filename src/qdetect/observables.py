@@ -195,30 +195,6 @@ class DensityOperator:
         return f"DensityOperator({label}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class PMObservable:
-    """A +-1 valued observable, stored by its +1 eigenprojection.
-
-    The operator itself is 2P - 1; its square is the identity by construction,
-    so no extra validation is needed beyond P being a projection.
-    """
-
-    plus: Projection
-    name: str = ""
-
-    @property
-    def dim(self) -> int:
-        return self.plus.dim
-
-    @property
-    def operator(self) -> CMatrix:
-        return 2.0 * self.plus.matrix - identity(self.dim)
-
-    def __repr__(self) -> str:
-        label = self.name or "?"
-        return f"PMObservable({label}, dim={self.dim})"
-
-
 def complement(p: Projection) -> Projection:
     """The negation 1 - P of a property; it inherits the defects of P."""
     name = f"{p.name}'" if p.name else ""
@@ -336,27 +312,28 @@ def orthogonal_sum(f: Projection, g: Projection, tol: Tolerance = DEFAULT_TOL) -
 
 def derived_projection(
     coeff: int,
-    pms: Sequence[PMObservable],
+    factors: Sequence[Projection],
     tol: Tolerance = DEFAULT_TOL,
     name: str = "",
 ) -> Projection:
-    """Projection (1 + coeff * A_1 ... A_k) / 2 from commuting +-1 observables.
+    """Projection (1 + coeff * A_1 ... A_k) / 2 with A_i = 2 P_i - 1.
 
-    The product of commuting +-1 observables is again a +-1 observable, so the
-    half-sum is a projection. coeff must be +1 or -1; the factors must commute
-    pairwise or the half-sum would not even be Hermitian.
+    Each +-1 observable A_i is fixed by its +1 projection P_i, and the
+    product of commuting +-1 observables is again one, so the half-sum is a
+    projection. coeff must be +1 or -1; the A_i must commute pairwise or the
+    half-sum would not even be Hermitian.
     """
     if coeff not in (1, -1):
         raise ValidationError(f"coefficient must be +1 or -1, got {coeff}")
-    if not pms:
-        raise ValidationError("derived_projection needs at least one observable")
-    dim = pms[0].dim
-    ops = [x.operator for x in pms]
-    labels = [x.name or str(i) for i, x in enumerate(pms)]
+    if not factors:
+        raise ValidationError("derived_projection needs at least one factor")
+    dim = factors[0].dim
+    ops = [2.0 * p.matrix - identity(dim) for p in factors]
+    labels = [p.name or str(i) for i, p in enumerate(factors)]
     _require_pairwise_commuting(labels, ops, tol.gate(dim), PreconditionError)
     matrix = 0.5 * (identity(dim) + float(coeff) * mul(*ops))
     if not name:
         sign = "+" if coeff == 1 else "-"
-        body = "*".join(x.name or "?" for x in pms)
+        body = "*".join(f"(2{p.name or '?'}-1)" for p in factors)
         name = f"(1{sign}{body})/2"
     return Projection(matrix, name=name, tol=tol)

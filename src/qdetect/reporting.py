@@ -63,9 +63,6 @@ class Report:
         self.checks.append(result)
         return result
 
-    def extend(self, other: "Report") -> None:
-        self.checks.extend(other.checks)
-
     @property
     def passed_count(self) -> int:
         return sum(1 for c in self.checks if c.passed)

@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import CMatrix, DEFAULT_TOL, MAX_DIM, Tolerance, hermiticity_defect, kron, outer
-from .observables import DensityOperator, PMObservable, Projection, _unit_vector, derived_projection
+from .observables import DensityOperator, Projection, _unit_vector, derived_projection
 from .detection import _detects
 from .assignment import assignment_probs
 from .reporting import Report
@@ -263,18 +263,10 @@ def build_ghsz() -> Scenario:
     l_alpha = _one_qubit_lift(_HALF_ONES, 3, "L_alpha")
     l_beta = _one_qubit_lift(_HALF_I, 3, "L_beta")
 
-    a_alpha = PMObservable(e_alpha, "A_alpha")
-    a_beta = PMObservable(e_beta, "A_beta")
-    b = PMObservable(f, "B")
-    c_alpha = PMObservable(g_alpha, "C_alpha")
-    c_beta = PMObservable(g_beta, "C_beta")
-    d_alpha = PMObservable(l_alpha, "D_alpha")
-    d_beta = PMObservable(l_beta, "D_beta")
-
-    m = derived_projection(-1, [a_alpha, b, d_alpha], name="M")
-    n = derived_projection(-1, [b, c_beta, d_alpha], name="N")
-    r = derived_projection(-1, [a_beta, b, c_alpha], name="R")
-    s = derived_projection(+1, [a_alpha, b, c_beta], name="S")
+    m = derived_projection(-1, [e_alpha, f, l_alpha], name="M")
+    n = derived_projection(-1, [f, g_beta, l_alpha], name="N")
+    r = derived_projection(-1, [e_beta, f, g_alpha], name="R")
+    s = derived_projection(+1, [e_alpha, f, g_beta], name="S")
 
     # |0011> - |1100>, qubit 1 most significant: indices 3 and 12.
     raw = np.zeros(16, dtype=np.complex128)

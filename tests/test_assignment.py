@@ -222,6 +222,16 @@ def test_simulation_equalities_checks_each_commutation_once(ghsz, monkeypatch):
         assert (r.defect_outcome1, r.defect_outcome0) == (want1, want0)
 
 
+def test_simulation_equalities_take_one_product_per_f(ghsz, monkeypatch):
+    # Two products in detects, F.T and F.E for each commutation check, and
+    # one rho.F shared by the four conditionals of each F: 3k + 2 = 11.
+    t, e = ghsz.observable("M"), ghsz.observable("G_alpha")
+    fs = [ghsz.observable(n) for n in ("E_alpha", "F", "L_alpha")]
+    products = count_products(monkeypatch)
+    simulation_equalities(t, e, ghsz.state, fs)
+    assert len(products) == 11
+
+
 def test_simulation_equalities_random_triples():
     rng = np.random.default_rng(89)
     for _ in range(25):

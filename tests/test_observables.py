@@ -7,7 +7,6 @@ from qdetect import (
     CMatrix,
     DensityOperator,
     OrthogonalityError,
-    PMObservable,
     PreconditionError,
     Projection,
     ValidationError,
@@ -269,12 +268,13 @@ def test_derived_projection_reproduces_scenario_operators(ghsz):
 
 def test_derived_projection_single_factor_gives_complement():
     e = Projection(CMatrix(_P_PLUS), name="E")
-    got = derived_projection(-1, [PMObservable(e, "A")])
+    got = derived_projection(-1, [e])
     assert dist(got.matrix, complement(e).matrix) < 1e-12
+    assert got.name == "(1-(2E-1))/2"
 
 
 def test_derived_projection_rejects_bad_coefficient():
-    e = PMObservable(Projection(CMatrix(_P_PLUS)))
+    e = Projection(CMatrix(_P_PLUS))
     with pytest.raises(ValidationError):
         derived_projection(2, [e])
     with pytest.raises(ValidationError):
@@ -282,8 +282,8 @@ def test_derived_projection_rejects_bad_coefficient():
 
 
 def test_derived_projection_rejects_non_commuting_factors():
-    a = PMObservable(Projection(CMatrix(_P_PLUS)), "A")
-    b = PMObservable(Projection(CMatrix(_P_I)), "B")
+    a = Projection(CMatrix(_P_PLUS), "A")
+    b = Projection(CMatrix(_P_I), "B")
     with pytest.raises(PreconditionError):
         derived_projection(1, [a, b])
 
@@ -293,23 +293,15 @@ def test_derived_projection_commutes_with_factors():
     for _ in range(20):
         dim = int(rng.integers(2, 9))
         v = haar_unitary(rng, dim)
-        pms = [
-            PMObservable(projection_in_basis(v, rng.integers(0, 2, dim)), f"X{i}")
-            for i in range(3)
+        factors = [
+            projection_in_basis(v, rng.integers(0, 2, dim), f"X{i}") for i in range(3)
         ]
         coeff = int(rng.choice([1, -1]))
-        p = derived_projection(coeff, pms)
+        p = derived_projection(coeff, factors)
         assert dist(p.matrix @ p.matrix, p.matrix) < 1e-10 * dim
-        for x in pms:
-            assert commutator_defect(p.matrix, x.operator) < 1e-10 * dim
-
-
-def test_pm_observable_squares_to_identity():
-    rng = np.random.default_rng(29)
-    for _ in range(10):
-        dim = int(rng.integers(2, 9))
-        x = PMObservable(random_projection(rng, dim))
-        assert dist(x.operator @ x.operator, identity(dim)) < 1e-12 * dim
+        for x in factors:
+            a = 2.0 * x.matrix - identity(dim)
+            assert commutator_defect(p.matrix, a) < 1e-10 * dim
 
 
 def test_affine_images_share_spectral_projectors():

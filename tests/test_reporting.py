@@ -37,15 +37,6 @@ def test_report_add_coerces_types():
     assert isinstance(added.residual, float)
 
 
-def test_extend_merges_checks():
-    a = _sample_report()
-    b = Report(command="other")
-    b.add("delta", True)
-    a.extend(b)
-    assert [c.name for c in a.checks][-1] == "delta"
-    assert a.passed_count == 3
-
-
 def test_json_is_deterministic_and_parseable():
     one = _sample_report().to_json()
     two = _sample_report().to_json()
