@@ -215,12 +215,19 @@ def check_C1(
     rho: DensityOperator,
     tol: Tolerance = DEFAULT_TOL,
 ) -> bool:
-    """For commuting pairs the sandwich extends the plain joint trace."""
+    """For commuting pairs the sandwich extends the plain joint trace.
+
+    Takes three dense products: the commutation check, X = rho.E and X.F;
+    Tr(rho.E.F) is read off X. The residual |Tr(rho.E.F.E) - Tr(rho.E.F)| is
+    half of assignment_probs' c3_residual, so for a commuting pair this
+    check and check_C3 judge one quantity against different gates.
+    """
     gate = tol.gate(e.dim)
     labels = [e.name or "E", f.name or "F"]
     _require_pairwise_commuting(labels, [e.matrix, f.matrix], gate, CoMeasurabilityError)
-    sandwich = _sandwich(rho.matrix, e.matrix, f.matrix, gate)
-    plain = _real_trace("Tr(rho.E.F)", gate, rho.matrix, e.matrix, f.matrix)
+    x = rho.matrix @ e.matrix
+    sandwich = _real_trace("Tr(rho.E.F.E)", gate, x, f.matrix, e.matrix)
+    plain = _real_trace("Tr(rho.E.F)", gate, x, f.matrix)
     return abs(sandwich - plain) <= gate
 
 
@@ -350,17 +357,33 @@ class JointDistribution:
     the probability of the outcome vector outcome_bits(n)[c]. Atoms whose raw
     probability is at most eig_cut are clamped to exactly zero and the rest
     renormalized; `renormalization` records the divisor (1.0 when nothing
-    was clamped).
+    was clamped). The constructor copies `probs` and raises ValidationError
+    unless it holds 2^n finite, nonnegative numbers summing to 1 within 1e-9.
     """
 
-    observables: tuple[Projection, ...]
     names: tuple[str, ...]
     probs: np.ndarray
     renormalization: float
 
+    def __post_init__(self) -> None:
+        probs = np.asarray(self.probs)
+        if probs.shape != (2**self.n,) or probs.dtype.kind not in "iuf":
+            raise ValidationError(
+                f"atom probabilities must be 2^{self.n} = {2**self.n} real numbers, "
+                f"got shape {probs.shape} of {probs.dtype}"
+            )
+        probs = probs.astype(np.float64)
+        if not np.isfinite(probs).all() or probs.min() < 0.0:
+            raise ValidationError("atom probabilities must be finite and nonnegative")
+        total = float(probs.sum())
+        if abs(total - 1.0) > 1e-9:
+            raise ValidationError(f"atom distribution sums to {total!r}, not 1")
+        probs.flags.writeable = False
+        object.__setattr__(self, "probs", probs)
+
     @property
     def n(self) -> int:
-        return len(self.observables)
+        return len(self.names)
 
     @property
     def atoms(self) -> dict[tuple[int, ...], float]:
@@ -460,11 +483,4 @@ def joint_distribution(
     mass = float(clamped.sum())
     if mass <= 0.0:
         raise LemmaViolationError("all joint atoms were clamped to zero")
-    probs = clamped / mass
-    probs.flags.writeable = False
-    return JointDistribution(
-        observables=tuple(observables),
-        names=names,
-        probs=probs,
-        renormalization=mass,
-    )
+    return JointDistribution(names=names, probs=clamped / mass, renormalization=mass)

@@ -20,12 +20,7 @@ import sys
 import warnings
 from typing import Optional, Sequence
 
-from .assignment import (
-    _simulation_equalities,
-    assignment_probs,
-    check_C1,
-    joint_distribution,
-)
+from .assignment import _simulation_equalities, assignment_probs, joint_distribution
 from .detection import detects
 from .ensemble import (
     check_request, check_support_statements, check_z, detection_frequency_audit, sample_ensemble
@@ -132,13 +127,6 @@ def cmd_c3(args: argparse.Namespace, tol: Tolerance) -> Report:
             f"Tr(rho.F)={probs.tr_rho_f!r}"
         ),
     )
-    if commutes(e, f, tol):
-        report.add(
-            name="extension",
-            passed=check_C1(e, f, scn.state, tol),
-            ref="claim:extension",
-            detail="commuting pair: sandwich reduces to the plain joint trace",
-        )
     return report
 
 

@@ -213,9 +213,8 @@ def sample_ensemble(
     check_request(n, seed, workers)
     seed = int(seed)
 
+    # JointDistribution holds atoms summing to 1 within 1e-9.
     cum = np.cumsum(dist.probs)
-    if abs(cum[-1] - 1.0) > 1e-9:
-        raise ValidationError(f"atom distribution sums to {cum[-1]!r}, not 1")
     # Close the last bin exactly so u ~ U[0,1) can never fall off the end.
     cum[-1] = 1.0
     guide = _guide_table(cum)
@@ -272,12 +271,15 @@ def check_support_statements(
 ) -> Report:
     """Certify the ensemble against the distribution it was drawn from.
 
-    Exact checks: zero-probability atoms are unpopulated, and mutually
-    exclusive pairs never co-occur. That outcomes partition each extension
-    needs no check: an Ensemble holds a 0/1 value per record and member by
-    construction. Statistical checks: every sufficiently expected atom is
-    populated, and all atom frequencies sit within z standard deviations of
-    their probabilities.
+    Exact checks: zero-probability atoms are unpopulated. That covers
+    mutually exclusive pairs: a pair whose outcome-1 joint mass is zero has
+    every atom with both bits set exactly zero (clamped atoms are >= 0, so
+    their sum cannot cancel), and each such atom has its own atom-empty
+    line. That outcomes partition each extension needs no check: an
+    Ensemble holds a 0/1 value per record and member by construction.
+    Statistical checks: every sufficiently expected atom is populated, and
+    all atom frequencies sit within z standard deviations of their
+    probabilities.
     """
     check_z(z)
     if ens.family != dist.names:
@@ -290,7 +292,6 @@ def check_support_statements(
         inputs={"n": ens.n, "seed": ens.seed, "z": float(z), "rho": ens.rho_name},
     )
     n = ens.n
-    k = len(ens.family)
     counts = ens.atom_counts
 
     # tolist() hands out Python floats, whose repr the report prints.
@@ -323,23 +324,6 @@ def check_support_statements(
             detail=f"p={p!r} band={z * sigma:.3e}",
         )
 
-    # A pair's joint mass is zero exactly when no nonzero atom has both bits
-    # set: clamped atoms are >= 0, so a sum of them cannot cancel to zero.
-    massive = ens.table[dist.probs != 0.0].astype(np.int64)
-    joint = massive.T @ massive
-    for i in range(k):
-        for j in range(i + 1, k):
-            if joint[i, j]:
-                continue
-            both = (ens.table[:, i] == 1) & (ens.table[:, j] == 1)
-            co = int(counts[both].sum())
-            report.add(
-                name=f"exclusive:{ens.family[i]}~{ens.family[j]}",
-                passed=co == 0,
-                residual=float(co),
-                ref="support:exclusive",
-                detail="outcome-1 pair carries zero joint mass",
-            )
     return report
 
 

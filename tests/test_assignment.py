@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+import qdetect.assignment
+
 from qdetect import (
     CMatrix,
     CoMeasurabilityError,
@@ -21,6 +23,7 @@ from qdetect import (
     check_C3,
     complement,
     cond_prob,
+    commutes,
     cz_property_check,
     detection_form_equality,
     joint_distribution,
@@ -115,6 +118,43 @@ def test_check_C1_extension_sweep():
 def test_check_C1_refuses_non_commuting(rt):
     with pytest.raises(CoMeasurabilityError):
         check_C1(rt.observable("E"), rt.observable("F"), rt.state)
+
+
+def test_check_C1_takes_three_products(ghsz, monkeypatch):
+    # The commutation check, X = rho.E and X.F; Tr(rho.E.F) is read off X.
+    e, f = ghsz.observable("G_alpha"), ghsz.observable("F")
+    products = count_products(monkeypatch)
+    assert check_C1(e, f, ghsz.state)
+    assert len(products) == 3
+
+
+def test_check_C1_traces_match_two_chain_route(monkeypatch):
+    # Tr(rho.E.F.E) and Tr(rho.E.F) come out bit-identical to the two chains
+    # rho.E.F.E and rho.E.F, and their distance is half the C3 residual.
+    traces = []
+    real_trace = qdetect.assignment._real_trace
+
+    def recording(*args):
+        traces.append(real_trace(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(qdetect.assignment, "_real_trace", recording)
+    rng = np.random.default_rng(61)
+    pairs = 0
+    for t, e, _, rho in pair_library(rng):
+        if not commutes(t, e):
+            continue
+        pairs += 1
+        gate = DEFAULT_TOL.gate(e.dim)
+        del traces[:]
+        verdict = check_C1(e, t, rho)
+        sandwich = real_trace("", gate, rho.matrix, e.matrix, t.matrix, e.matrix)
+        plain = real_trace("", gate, rho.matrix, e.matrix, t.matrix)
+        assert traces == [sandwich, plain]
+        assert verdict == (abs(sandwich - plain) <= gate)
+        c3 = assignment_probs(e, t, rho).c3_residual
+        assert 2.0 * abs(sandwich - plain) == c3
+    assert pairs == 40
 
 
 def test_check_C2_additivity_any_e():

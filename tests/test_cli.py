@@ -23,7 +23,7 @@ from qdetect import (
 )
 from qdetect.cli import main
 
-from support import count_commutation_checks
+from support import count_commutation_checks, count_products
 
 
 def test_ghsz_text_output(capsys):
@@ -249,10 +249,33 @@ def test_state_vector_entries_near_the_float_limit(tmp_path, entry, code):
 
 
 def test_c3_commuting_pair(ghsz_file, capsys):
+    # For a commuting pair the extension residual is half the sum-rule
+    # residual, so the sum rule is the one line.
     assert main(["c3", ghsz_file, "G_alpha", "F"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] sum-rule" in out
-    assert "[PASS] extension" in out
+    assert "extension" not in out
+    assert "summary: 1 passed, 0 failed" in out
+
+
+@pytest.mark.parametrize(
+    "pair", [("G_alpha", "F"), ("E_alpha", "E_beta")], ids=["commuting", "non-commuting"]
+)
+def test_c3_takes_two_products_after_loading(ghsz_file, monkeypatch, capsys, pair):
+    # rho.E and rho.E.F; every trace reads its last factor without a product.
+    products = count_products(monkeypatch)
+    loaded = []
+    load = qdetect.cli.load_scenario
+
+    def load_and_mark(*args):
+        scn = load(*args)
+        loaded.append(len(products))
+        return scn
+
+    monkeypatch.setattr(qdetect.cli, "load_scenario", load_and_mark)
+    assert main(["c3", ghsz_file, *pair]) == 0
+    capsys.readouterr()
+    assert len(products) - loaded[0] == 2
 
 
 def test_c3_non_commuting_pair(tmp_path, capsys):

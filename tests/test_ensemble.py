@@ -20,7 +20,7 @@ from qdetect import (
     sample_ensemble,
 )
 from qdetect import ensemble as ensemble_module
-from qdetect.assignment import MAX_FAMILY
+from qdetect.assignment import MAX_FAMILY, outcome_bits
 from qdetect.ensemble import _SPLIT, _guide_table, _uniforms
 from qdetect.numerics import outer
 from qdetect.observables import DensityOperator
@@ -199,7 +199,7 @@ def _crafted_uniforms() -> np.ndarray:
 )
 def test_guide_table_draw_matches_binary_search(probs, monkeypatch):
     k = len(probs).bit_length() - 1
-    dist = JointDistribution((), tuple(f"m{i}" for i in range(k)), probs, 1.0)
+    dist = JointDistribution(tuple(f"m{i}" for i in range(k)), probs, 1.0)
     cum = np.cumsum(probs)
     cum[-1] = 1.0
     u = _crafted_uniforms()
@@ -216,6 +216,34 @@ def test_guide_table_draw_matches_binary_search(probs, monkeypatch):
         assert np.all(guide == _SPLIT)
     else:
         assert np.any(guide == _SPLIT) and np.any(guide != _SPLIT)
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [np.nan, 0.5, 0.25, 0.25],
+        [0.5, -0.25, 0.5, 0.25],
+        [0.5, np.inf, 0.25, 0.25],
+        [0.5, 0.25, 0.25, 0.25],
+        [0.5, 0.5],
+        [[0.5, 0.5], [0.0, 0.0]],
+        [0.5j, 0.5, 0.0, 0.0],
+    ],
+    ids=["nan", "negative", "inf", "sum", "length", "2-d", "complex"],
+)
+def test_joint_distribution_refuses_bad_probs(probs):
+    with pytest.raises(ValidationError):
+        JointDistribution(("a", "b"), np.array(probs), 1.0)
+
+
+def test_joint_distribution_keeps_a_read_only_copy():
+    probs = np.array([0.5, 0.0, 0.25, 0.25])
+    dist = JointDistribution(("a", "b"), probs, 1.0)
+    probs[0] = 0.0
+    assert dist.probs.tolist() == [0.5, 0.0, 0.25, 0.25]
+    assert dist.n == 2
+    with pytest.raises(ValueError):
+        dist.probs[0] = 0.0
 
 
 def test_to_csv_ids_crossing_powers_of_ten(tmp_path, monkeypatch):
@@ -270,6 +298,25 @@ def test_support_statements_detecting_pair(detect_dist):
     assert by_name["atom-empty:01"].residual == 0.0
 
 
+def _assert_exclusive_pairs_have_empty_atoms(dist, report):
+    """Each code with both bits of a zero-mass pair set has an atom-empty line.
+
+    Returns the number of zero-mass pairs seen.
+    """
+    k = dist.n
+    table = outcome_bits(k)
+    lines = {c.name for c in report.checks if c.name.startswith("atom-empty:")}
+    pairs = 0
+    for i in range(k):
+        for j in range(i + 1, k):
+            if dist.mass({i: 1, j: 1}) != 0.0:
+                continue
+            pairs += 1
+            for row in table[(table[:, i] == 1) & (table[:, j] == 1)].tolist():
+                assert "atom-empty:" + "".join(map(str, row)) in lines
+    return pairs
+
+
 def test_support_statements_exclusive_pair(ghsz):
     f = ghsz.observable("F")
     dist = joint_distribution([f, complement(f)], ghsz.state)
@@ -277,7 +324,9 @@ def test_support_statements_exclusive_pair(ghsz):
     report = check_support_statements(ens, dist)
     assert report.all_passed
     by_name = {c.name: c for c in report.checks}
-    assert by_name["exclusive:F~F'"].passed
+    # F and F' never both hold: the atom-empty:11 line says so.
+    assert not any(name.startswith("exclusive") for name in by_name)
+    assert _assert_exclusive_pairs_have_empty_atoms(dist, report) == 1
     assert by_name["atom-empty:11"].passed
     assert by_name["atom-empty:00"].passed
 
@@ -409,26 +458,28 @@ def test_columnar_ensemble_matches_per_record_reference(tmp_path, monkeypatch):
     assert zero_mass_seen
 
 
-def test_exclusive_pairs_match_mass_loop():
+def test_zero_mass_lines_cover_exclusive_pairs():
     rng = np.random.default_rng(77)
-    selected_total = skipped_total = 0
+    exclusive = joint = 0
     for _ in range(12):
         k = int(rng.integers(4, 7))
         family, rho = random_commuting_family(rng, dim=12, k=k, support=3)
         dist = joint_distribution(family, rho)
-        assert any(p == 0.0 for p in dist.atoms.values())
-        expect = {
-            f"exclusive:{dist.names[i]}~{dist.names[j]}"
-            for i in range(k)
-            for j in range(i + 1, k)
-            if dist.mass({i: 1, j: 1}) == 0.0
-        }
         report = check_support_statements(sample_ensemble(dist, 200, seed=k), dist)
-        got = {c.name for c in report.checks if c.name.startswith("exclusive:")}
-        assert got == expect
-        exclusive = [c for c in report.checks if c.name in got]
-        assert all(c.passed and c.residual == 0.0 for c in exclusive)
-        selected_total += len(got)
-        skipped_total += k * (k - 1) // 2 - len(got)
-    # The sweep must exercise both verdicts of the selection.
-    assert selected_total > 0 and skipped_total > 0
+        seen = _assert_exclusive_pairs_have_empty_atoms(dist, report)
+        exclusive += seen
+        joint += k * (k - 1) // 2 - seen
+    # The sweep must meet both kinds of pair.
+    assert exclusive > 0 and joint > 0
+
+
+def test_co_occurring_exclusive_pair_fails_its_atom_line(ghsz):
+    # One record with both F and F' set: the zero-mass line of code 11 fails.
+    f = ghsz.observable("F")
+    dist = joint_distribution([f, complement(f)], ghsz.state)
+    ens = Ensemble("rho", 0, dist.names, np.array([0b01, 0b10, 0b11, 0b10]))
+    report = check_support_statements(ens, dist)
+    by_name = {c.name: c for c in report.checks}
+    assert not by_name["atom-empty:11"].passed
+    assert by_name["atom-empty:11"].residual == 1.0
+    assert by_name["atom-empty:00"].passed
