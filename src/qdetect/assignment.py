@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -322,31 +322,11 @@ def outcome_bits(n: int) -> np.ndarray:
     """The outcome vectors of an n-member family as a (2^n, n) uint8 array.
 
     Row c holds the bits of the outcome code c, first member most
-    significant; outcome_code maps a row back to its code.
+    significant. This is the one map between codes and outcome vectors: a
+    code's probability is probs[c], and the mass of an event is probs[mask]
+    summed over the rows it selects.
     """
     return ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-
-
-def outcome_code(omega: Sequence[int], n: int) -> int:
-    """The code whose row in outcome_bits(n) is the outcome vector omega.
-
-    Raises ValidationError unless omega holds n outcomes, each 0 or 1.
-    """
-    key = tuple(omega)
-    if len(key) != n:
-        raise ValidationError(
-            f"outcome vector length {len(key)} does not match family size {n}"
-        )
-    code = 0
-    for w in key:
-        code = 2 * code + _outcome(w)
-    return code
-
-
-def _outcome(w: int) -> int:
-    if w not in (0, 1):
-        raise ValidationError(f"outcome {w!r} is neither 0 nor 1")
-    return int(w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,7 +338,8 @@ class JointDistribution:
     probability is at most eig_cut are clamped to exactly zero and the rest
     renormalized; `renormalization` records the divisor (1.0 when nothing
     was clamped). The constructor copies `probs` and raises ValidationError
-    unless it holds 2^n finite, nonnegative numbers summing to 1 within 1e-9.
+    unless the family has at most MAX_FAMILY names and `probs` holds 2^n
+    finite, nonnegative numbers summing to 1 within 1e-9.
     """
 
     names: tuple[str, ...]
@@ -366,6 +347,10 @@ class JointDistribution:
     renormalization: float
 
     def __post_init__(self) -> None:
+        if self.n > MAX_FAMILY:
+            raise ValidationError(
+                f"distribution family has {self.n} members; the limit is {MAX_FAMILY}"
+            )
         probs = np.asarray(self.probs)
         if probs.shape != (2**self.n,) or probs.dtype.kind not in "iuf":
             raise ValidationError(
@@ -390,26 +375,6 @@ class JointDistribution:
         """`probs` keyed by outcome vector, in code order."""
         omegas = map(tuple, outcome_bits(self.n).tolist())
         return dict(zip(omegas, self.probs.tolist()))
-
-    def prob(self, omega: Sequence[int]) -> float:
-        return float(self.probs[outcome_code(omega, self.n)])
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ValidationError(f"no observable named {name!r}") from None
-
-    def mass(self, fixed: Mapping[str | int, int]) -> float:
-        """Total probability of atoms matching the fixed coordinates."""
-        bits = outcome_bits(self.n)
-        keep = np.ones(len(self.probs), dtype=bool)
-        for key, bit in fixed.items():
-            idx = key if isinstance(key, int) else self.index_of(key)
-            if not 0 <= idx < self.n:
-                raise ValidationError(f"observable index {idx} out of range")
-            keep &= bits[:, idx] == _outcome(bit)
-        return float(self.probs[keep].sum())
 
 
 def joint_distribution(

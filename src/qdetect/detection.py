@@ -48,7 +48,6 @@ class DetectionCheck:
     state_equal_defect: float
     discord_10: float
     discord_01: float
-    outcome1_probability: float
     holds: bool
     note: str = ""
 
@@ -116,7 +115,6 @@ def _detects(
         state_equal_defect=s_defect,
         discord_10=d10,
         discord_01=d01,
-        outcome1_probability=min(max(p1, 0.0), 1.0),
         holds=holds,
         note=note,
     )

@@ -35,11 +35,10 @@ import io
 from dataclasses import dataclass
 from functools import cached_property
 from math import isfinite, sqrt
-from typing import Sequence
 
 import numpy as np
 
-from .assignment import MAX_FAMILY, JointDistribution, outcome_bits, outcome_code
+from .assignment import MAX_FAMILY, JointDistribution, outcome_bits
 from .errors import PreconditionError, UnknownObservableError, ValidationError
 from .reporting import Report
 
@@ -138,12 +137,6 @@ class Ensemble:
                 f"{name!r} is not in the measured family {self.family}"
             )
         return self.table[:, self.family.index(name)]
-
-    def count_outcome(self, name: str, bit: int) -> int:
-        return int(self.atom_counts[self._column(name) == bit].sum())
-
-    def count_atom(self, omega: Sequence[int]) -> int:
-        return int(self.atom_counts[outcome_code(omega, len(self.family))])
 
     def to_csv(self, path) -> None:
         """Write the header and one `id,b1,...,bk` row per record, CRLF-ended.

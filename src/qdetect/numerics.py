@@ -118,9 +118,6 @@ class CMatrix:
         self._same_dim(other)
         return CMatrix(self._a - other._a)
 
-    def __neg__(self) -> "CMatrix":
-        return CMatrix(-self._a)
-
     def __mul__(self, scalar: complex) -> "CMatrix":
         return CMatrix(self._a * complex(scalar))
 

@@ -186,10 +186,6 @@ class DensityOperator:
         rho._validate(check_psd=False)
         return rho
 
-    def expectation(self, p: Projection) -> float:
-        """Probability the property p holds in this state."""
-        return float(_rho_trace(self.matrix, p.matrix).real)
-
     def __repr__(self) -> str:
         label = self.name or "?"
         return f"DensityOperator({label}, dim={self.dim})"

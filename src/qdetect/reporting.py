@@ -72,10 +72,6 @@ class Report:
         return sum(1 for c in self.checks if not c.passed)
 
     @property
-    def all_passed(self) -> bool:
-        return self.failed_count == 0
-
-    @property
     def exit_code(self) -> int:
         return 0 if self.failed_count == 0 else 1
 

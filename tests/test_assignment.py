@@ -30,7 +30,7 @@ from qdetect import (
     outer,
     simulation_equalities,
 )
-from qdetect.assignment import MAX_FAMILY, outcome_bits, outcome_code
+from qdetect.assignment import MAX_FAMILY, outcome_bits
 
 from support import (
     haar_unitary,
@@ -328,39 +328,29 @@ def test_joint_distribution_single_site_pair(ghsz):
     dist = joint_distribution([ghsz.observable("E_alpha"), ghsz.observable("F")], ghsz.state)
     assert dist.n == 2
     assert set(dist.atoms) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    for omega in dist.atoms:
-        assert dist.prob(omega) == pytest.approx(0.25, abs=1e-12)
+    assert dist.probs == pytest.approx(np.full(4, 0.25), abs=1e-12)
     assert dist.renormalization == pytest.approx(1.0, abs=1e-12)
-    assert dist.mass({"E_alpha": 1}) == pytest.approx(0.5, abs=1e-12)
-    assert dist.mass({0: 1, 1: 0}) == pytest.approx(0.25, abs=1e-12)
+    e_alpha_holds = outcome_bits(2)[:, dist.names.index("E_alpha")] == 1
+    assert dist.probs[e_alpha_holds].sum() == pytest.approx(0.5, abs=1e-12)
+    assert dist.probs[0b10] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_joint_distribution_detecting_pair_has_exact_zero_discordance(ghsz):
     dist = joint_distribution([ghsz.observable("M"), ghsz.observable("G_alpha")], ghsz.state)
-    assert dist.prob((1, 0)) == 0.0
-    assert dist.prob((0, 1)) == 0.0
-    assert dist.prob((1, 1)) == pytest.approx(0.5, abs=1e-12)
-    assert dist.prob((0, 0)) == pytest.approx(0.5, abs=1e-12)
-    assert dist.index_of("G_alpha") == 1
-    with pytest.raises(ValidationError):
-        dist.index_of("nope")
-    with pytest.raises(ValidationError):
-        dist.mass({7: 1})
-    for omega in ((1, 0, 1), (1,), (2, 0), (0, -1), (0, 0.5), ("1", "0")):
-        with pytest.raises(ValidationError):
-            dist.prob(omega)
-    for fixed in ({0: 2}, {"M": -1}, {1: 0.5}):
-        with pytest.raises(ValidationError):
-            dist.mass(fixed)
+    assert dist.names == ("M", "G_alpha")
+    assert dist.probs[0b10] == 0.0
+    assert dist.probs[0b01] == 0.0
+    assert dist.probs[0b11] == pytest.approx(0.5, abs=1e-12)
+    assert dist.probs[0b00] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_outcome_code_inverts_outcome_bits():
-    for n in range(1, 6):
+def test_outcome_bits_rows_are_the_bits_of_their_codes():
+    for n in range(1, MAX_FAMILY + 1):
         rows = outcome_bits(n)
         assert rows.shape == (2**n, n) and rows.dtype == np.uint8
-        assert [outcome_code(row, n) for row in rows.tolist()] == list(range(2**n))
+        weights = 2 ** np.arange(n - 1, -1, -1)
+        np.testing.assert_array_equal(rows.astype(np.int64) @ weights, np.arange(2**n))
     assert outcome_bits(3)[0b110].tolist() == [1, 1, 0]
-    assert outcome_code((True, False), 2) == 2
 
 
 def test_joint_distribution_matches_spectral_oracle():
@@ -387,8 +377,8 @@ def test_joint_distribution_clamps_and_renormalizes():
     rho = DensityOperator(CMatrix(np.diag([1.0 - eps, eps])))
     e = Projection(CMatrix(np.diag([1.0, 0.0])), name="E")
     dist = joint_distribution([e], rho)
-    assert dist.prob((1,)) == 1.0
-    assert dist.prob((0,)) == 0.0
+    assert dist.probs[0b1] == 1.0
+    assert dist.probs[0b0] == 0.0
     assert dist.renormalization == pytest.approx(1.0 - eps, rel=1e-12)
 
 
@@ -528,7 +518,7 @@ def test_joint_distribution_accepts_near_gate_non_hermitian_members():
     dist = joint_distribution([a, b], rho)
     atoms, mass = reference_joint_atoms([a, b], rho)
     assert dist.atoms == pytest.approx(atoms, abs=ROUTE_TOL * 2)
-    assert dist.prob((1, 0)) == pytest.approx(0.5, abs=1e-15)
+    assert dist.probs[0b10] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_assignment_probs_takes_two_products(monkeypatch):

@@ -14,6 +14,7 @@ import qdetect.detection
 import qdetect.ensemble
 from qdetect import (
     CMatrix,
+    DEFAULT_TOL,
     DensityOperator,
     Projection,
     Scenario,
@@ -23,7 +24,7 @@ from qdetect import (
 )
 from qdetect.cli import main
 
-from support import count_commutation_checks, count_products
+from support import count_commutation_checks, count_products, haar_unitary, projection_in_basis
 
 
 def test_ghsz_text_output(capsys):
@@ -62,20 +63,52 @@ def test_detect_pass(ghsz_file, capsys):
     assert main(["detect", ghsz_file, "M", "G_alpha"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] detection-holds" in out
-    assert "[PASS] probability-route-agrees" in out
+    assert "probability-route-agrees" not in out
     assert "complement-lemma" not in out
     for name in ("E_alpha", "F", "L_alpha"):
         assert f"[PASS] simulation:{name}" in out
-    assert "summary: 9 passed, 0 failed" in out
+    assert "summary: 8 passed, 0 failed" in out
 
 
 def test_detect_fail_is_exit_one(ghsz_file, capsys):
     assert main(["detect", ghsz_file, "F", "G_alpha"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] detection-holds" in out
-    # The route-equivalence check compares verdicts, so it passes even here.
-    assert "[PASS] probability-route-agrees" in out
+    assert "probability-route-agrees" not in out
     assert "simulation:" not in out
+
+
+def test_detect_discordance_alone_fails_the_report(tmp_path, capsys):
+    # The state defect max|(E - T).rho| is the discordant weight times the
+    # largest squared entry of one Haar vector, well below that weight: at
+    # 5 gates of discordance the state-equality line passes, and the
+    # discordance line alone fails the report.
+    dim = 64
+    gate = DEFAULT_TOL.gate(dim)
+    v = haar_unitary(np.random.default_rng(3), dim)
+    t_bits = np.zeros(dim)
+    t_bits[:32] = 1.0
+    e_bits = t_bits.copy()
+    e_bits[32] = 1.0
+    weights = np.zeros(dim)
+    weights[32] = 5.0 * gate
+    weights[:32] = (1.0 - 5.0 * gate) / 32
+    rho = DensityOperator(CMatrix((v * weights) @ v.conj().T), name="rho")
+    observables = {
+        "T": projection_in_basis(v, t_bits, "T"),
+        "E": projection_in_basis(v, e_bits, "E"),
+    }
+    path = tmp_path / "discordant.json"
+    save_scenario(Scenario("discordant", dim, rho, observables), path)
+    assert main(["detect", str(path), "T", "E", "--output", "json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["state-equality"]["pass"]
+    assert checks["state-equality"]["residual"] < gate / 2
+    assert checks["detection-holds"]["pass"]
+    assert checks["discordance-10"]["pass"]
+    assert not checks["discordance-01"]["pass"]
+    assert checks["discordance-01"]["residual"] == pytest.approx(5.0 * gate, rel=1e-6)
+    assert "probability-route-agrees" not in checks
 
 
 def test_detect_non_commuting_pair(ghsz_file, capsys):
@@ -136,8 +169,8 @@ def test_oversize_integer_is_input_error(tmp_path, capsys, digits):
 
 
 def test_detect_runs_detects_once(ghsz_file, monkeypatch, capsys):
-    # cmd_detect's own check; the probability route and the
-    # simulation-equality precondition are read off it.
+    # cmd_detect's own check; the simulation-equality precondition is read
+    # off it.
     calls = []
     original = qdetect.detection.detects
 
@@ -148,7 +181,7 @@ def test_detect_runs_detects_once(ghsz_file, monkeypatch, capsys):
     for module in (qdetect.cli, qdetect.detection, qdetect.assignment):
         monkeypatch.setattr(module, "detects", counting)
     assert main(["detect", ghsz_file, "M", "G_alpha"]) == 0
-    assert "[PASS] probability-route-agrees" in capsys.readouterr().out
+    assert "[PASS] detection-holds" in capsys.readouterr().out
     assert len(calls) == 1
 
 
@@ -422,6 +455,19 @@ def test_simulate_caps_samples_before_drawing(ghsz_file, tmp_path, capsys, monke
     assert "at most" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_simulate_unwritable_csv_out_is_input_error(ghsz_file, tmp_path, capsys, where):
+    # The ensemble is drawn before --csv-out is opened; a path that cannot
+    # be written is still the user's input, not a failed check.
+    target = tmp_path / "nope" / "x.csv" if where == "missing-directory" else tmp_path
+    args = ["simulate", ghsz_file, "M", "G_alpha", "--samples", "200"]
+    assert main(args + ["--csv-out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert str(target) in captured.err
+
+
 def test_simulate_clamps_atom_between_minus_gate_and_minus_eig_cut(tmp_path, capsys):
     # At dim 256 the gate (2.56e-8) exceeds eig_cut (1e-8): a state with one
     # eigenvalue -2e-8 passes validation, and its atom must be clamped to 0
@@ -433,7 +479,7 @@ def test_simulate_clamps_atom_between_minus_gate_and_minus_eig_cut(tmp_path, cap
     bits = np.zeros(dim)
     bits[1] = 1.0
     e = Projection(CMatrix(np.diag(bits)), name="E")
-    assert joint_distribution([e], rho).prob((1,)) == 0.0
+    assert joint_distribution([e], rho).probs[0b1] == 0.0
     path = tmp_path / "negative.json"
     save_scenario(Scenario("negative", dim, rho, {"E": e}), path)
     args = ["simulate", str(path), "E", "--samples", "200"]
@@ -446,7 +492,7 @@ def test_simulate_clamps_atom_between_minus_gate_and_minus_eig_cut(tmp_path, cap
     [
         (["ghsz"], "560c7a95027265b96861d044611f0f76c5107125749a488ecb1b2ff35ee13bb7"),
         (["example44"], "e2135a49239fbd16f5a6f088101d1ec42afad5e5716cc88e3c63834acf2fa845"),
-        (["detect", "M", "G_alpha"], "6de1b56915fc784c468576922ad3ca6efa134a15adfcb6906c3dd3bf97d8bea1"),
+        (["detect", "M", "G_alpha"], "2631e720921477ebf2386ae45ec35915fd3e29d03ad8a519ef50e6003b245997"),
         (["c3", "E_alpha", "E_beta"], "0a965a10f502de1c38aec27a6361b381e6893836383cfc456ccb1d706c5626b7"),
     ],
     ids=["ghsz", "example44", "detect", "c3"],

@@ -19,7 +19,7 @@ from qdetect import (
     refinement_check,
 )
 from qdetect.numerics import DEFAULT_TOL, eigh, hermiticity_defect
-from qdetect.observables import commutator_defect
+from qdetect.observables import _rho_trace, commutator_defect
 
 from support import (
     ROUTE_TOL,
@@ -52,7 +52,8 @@ def test_detecting_pair_discordance_is_exact_zero(ghsz):
     check = detects(ghsz.observable("M"), ghsz.observable("G_alpha"), ghsz.state)
     assert check.discord_10 == 0.0
     assert check.discord_01 == 0.0
-    assert check.outcome1_probability == pytest.approx(0.5, abs=1e-12)
+    p1 = _rho_trace(ghsz.state.matrix, ghsz.observable("M").matrix).real
+    assert p1 == pytest.approx(0.5, abs=1e-12)
 
 
 def test_commuting_non_detecting_pair_frozen_values(ghsz):
@@ -95,7 +96,7 @@ def test_vacuous_note_when_outcome1_unreachable():
     rho = DensityOperator.pure([1.0, 0.0, 0.0])
     check = detects(t, t, rho)
     assert check.holds
-    assert check.outcome1_probability == 0.0
+    assert _rho_trace(rho.matrix, t.matrix).real == 0.0
     assert "vacuous" in check.note
 
 
@@ -110,7 +111,7 @@ def test_vacuous_note_when_outcome0_unreachable():
     # 1 - Tr(rho.T) reads 0.7 gate, but the outcome is not vacuous.
     rho = DensityOperator(CMatrix(np.diag([0.5, 0.5 - 0.7 * gate, 1.2 * gate])))
     check = detects(t, t, rho)
-    assert check.holds and 1.0 - check.outcome1_probability <= gate
+    assert check.holds and 1.0 - _rho_trace(rho.matrix, t.matrix).real <= gate
     assert check.note == ""
 
 
@@ -237,14 +238,15 @@ def test_detects_matches_full_chain_references():
             d10, d01 = (min(max(r.real, 0.0), 1.0) for r in (r10, r01))
         else:
             d10, d01 = abs(r10), abs(r01)
-        p1 = min(max(reference_chain_trace(rm, tm).real, 0.0), 1.0)
+        p1 = reference_chain_trace(rm, tm).real
         check = detects(t, e, rho)
         got = (
             check.commutator_defect,
             check.state_equal_defect,
             check.discord_10,
             check.discord_01,
-            check.outcome1_probability,
+            # The outcome-1 probability that detects reads for its note.
+            _rho_trace(rho.matrix, t.matrix).real,
         )
         for value, want in zip(got, (comm, state, d10, d01, p1)):
             assert abs(value - want) <= bound
@@ -299,7 +301,7 @@ def test_near_gate_non_hermitian_inputs_are_stored_hermitian():
     want_p1 = reference_chain_trace(rm, tm).real
     assert abs(check.discord_10 - min(max(want_10, 0.0), 1.0)) <= bound
     assert abs(check.discord_01 - min(max(want_01, 0.0), 1.0)) <= bound
-    assert abs(check.outcome1_probability - want_p1) <= bound
+    assert abs(_rho_trace(rho.matrix, t.matrix).real - want_p1) <= bound
 
     probs = assignment_probs(e, f, rho)
     ef = reference_chain_trace(rm, em, fm, em).real

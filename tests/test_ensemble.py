@@ -95,24 +95,18 @@ def test_sample_matches_manual_inverse_cdf(pair_dist):
 
 def test_zero_mass_atoms_never_sampled(detect_dist):
     ens = sample_ensemble(detect_dist, 20000, seed=0)
-    assert ens.count_atom((1, 0)) == 0
-    assert ens.count_atom((0, 1)) == 0
-    assert ens.count_atom((1, 1)) + ens.count_atom((0, 0)) == 20000
+    assert ens.atom_counts[0b10] == 0
+    assert ens.atom_counts[0b01] == 0
+    assert ens.atom_counts[0b11] + ens.atom_counts[0b00] == 20000
     discordant, concordant = detection_frequency_audit("M", "G_alpha", ens)
     assert discordant == 0
     assert concordant == 20000
-    for omega in ((1, 0, 1), (2, 0), (0, -1), (0.5, 0)):
-        with pytest.raises(ValidationError):
-            ens.count_atom(omega)
 
 
-def test_count_helpers(pair_dist):
+def test_atom_counts_and_unknown_audit_name(pair_dist):
     ens = sample_ensemble(pair_dist, 64, seed=5)
-    assert ens.count_outcome("F", 0) + ens.count_outcome("F", 1) == 64
-    with pytest.raises(UnknownObservableError):
-        ens.count_outcome("nope", 1)
-    with pytest.raises(ValidationError):
-        ens.count_atom((1,))
+    f_holds = ens.table[:, ens.family.index("F")] == 1
+    assert ens.atom_counts[~f_holds].sum() + ens.atom_counts[f_holds].sum() == 64
     with pytest.raises(UnknownObservableError):
         detection_frequency_audit("M", "F", ens)
 
@@ -236,6 +230,15 @@ def test_joint_distribution_refuses_bad_probs(probs):
         JointDistribution(("a", "b"), np.array(probs), 1.0)
 
 
+def test_joint_distribution_refuses_more_than_max_family_names():
+    # No distribution of 13 names exists, so none can be sampled before
+    # the Ensemble constructor refuses its family.
+    n = MAX_FAMILY + 1
+    names = tuple(f"m{i}" for i in range(n))
+    with pytest.raises(ValidationError, match="limit is 12"):
+        JointDistribution(names, np.full(2**n, 2.0**-n), 1.0)
+
+
 def test_joint_distribution_keeps_a_read_only_copy():
     probs = np.array([0.5, 0.0, 0.25, 0.25])
     dist = JointDistribution(("a", "b"), probs, 1.0)
@@ -278,7 +281,7 @@ def test_to_csv_worker_invariant(pair_dist, tmp_path):
 def test_support_statements_pass(pair_dist):
     ens = sample_ensemble(pair_dist, 5000, seed=13)
     report = check_support_statements(ens, pair_dist)
-    assert report.all_passed
+    assert report.exit_code == 0
     names = [c.name for c in report.checks]
     # Every table entry is 0 or 1 by construction: no partition checks.
     assert not any(n.startswith("partition:") for n in names)
@@ -292,7 +295,7 @@ def test_support_statements_pass(pair_dist):
 def test_support_statements_detecting_pair(detect_dist):
     ens = sample_ensemble(detect_dist, 5000, seed=17)
     report = check_support_statements(ens, detect_dist)
-    assert report.all_passed
+    assert report.exit_code == 0
     by_name = {c.name: c for c in report.checks}
     assert by_name["atom-empty:10"].residual == 0.0
     assert by_name["atom-empty:01"].residual == 0.0
@@ -309,10 +312,11 @@ def _assert_exclusive_pairs_have_empty_atoms(dist, report):
     pairs = 0
     for i in range(k):
         for j in range(i + 1, k):
-            if dist.mass({i: 1, j: 1}) != 0.0:
+            both = (table[:, i] == 1) & (table[:, j] == 1)
+            if dist.probs[both].sum() != 0.0:
                 continue
             pairs += 1
-            for row in table[(table[:, i] == 1) & (table[:, j] == 1)].tolist():
+            for row in table[both].tolist():
                 assert "atom-empty:" + "".join(map(str, row)) in lines
     return pairs
 
@@ -322,7 +326,7 @@ def test_support_statements_exclusive_pair(ghsz):
     dist = joint_distribution([f, complement(f)], ghsz.state)
     ens = sample_ensemble(dist, 2000, seed=19)
     report = check_support_statements(ens, dist)
-    assert report.all_passed
+    assert report.exit_code == 0
     by_name = {c.name: c for c in report.checks}
     # F and F' never both hold: the atom-empty:11 line says so.
     assert not any(name.startswith("exclusive") for name in by_name)
@@ -349,7 +353,6 @@ def test_support_statements_flag_biased_distribution(ghsz, pair_dist):
     )
     ens = sample_ensemble(pair_dist, 5000, seed=29)
     report = check_support_statements(ens, biased)
-    assert not report.all_passed
     assert report.exit_code == 1
     failed = [c.name for c in report.checks if not c.passed]
     assert any(n.startswith("frequency") for n in failed)
@@ -367,8 +370,8 @@ def test_singleton_family(ghsz):
     dist = joint_distribution([ghsz.observable("E_alpha")], ghsz.state)
     ens = sample_ensemble(dist, 400, seed=37)
     assert ens.family == ("E_alpha",)
-    assert ens.count_atom((1,)) == ens.count_outcome("E_alpha", 1)
-    assert check_support_statements(ens, dist).all_passed
+    assert ens.atom_counts[0b1] == np.count_nonzero(ens.index == 1)
+    assert check_support_statements(ens, dist).exit_code == 0
 
 
 def test_many_workers_start_no_threads(pair_dist, monkeypatch):
@@ -441,13 +444,14 @@ def test_columnar_ensemble_matches_per_record_reference(tmp_path, monkeypatch):
         ens.to_csv(path)
         assert path.read_bytes() == reference_csv_bytes(dist.names, ref), f"case {case}"
 
-        for name in dist.names:
+        for i, name in enumerate(dist.names):
             for bit in (0, 1):
-                assert ens.count_outcome(name, bit) == reference_count_outcome(
-                    ref, name, bit
+                assert ens.atom_counts[ens.table[:, i] == bit].sum() == (
+                    reference_count_outcome(ref, name, bit)
                 )
-        for omega in cartesian((0, 1), repeat=k):
-            assert ens.count_atom(omega) == reference_count_atom(
+        # product() runs through the outcome vectors in code order.
+        for code, omega in enumerate(cartesian((0, 1), repeat=k)):
+            assert ens.atom_counts[code] == reference_count_atom(
                 ref, dist.names, omega
             )
         for t_name in dist.names:

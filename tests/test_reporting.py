@@ -24,7 +24,6 @@ def test_report_counts_and_exit_code():
     report = _sample_report()
     assert report.passed_count == 2
     assert report.failed_count == 1
-    assert not report.all_passed
     assert report.exit_code == 1
     report.checks[:] = [c for c in report.checks if c.passed]
     assert report.exit_code == 0
