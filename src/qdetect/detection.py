@@ -38,9 +38,10 @@ class DetectionCheck:
 
     state_equal_defect is the max-abs distance between E.rho and T.rho; the
     discordance fields are the probabilities of the mismatched outcome pairs
-    (1,0) and (0,1). When the pair fails to commute those joint outcomes have
-    no meaning, and the magnitudes of the corresponding traces are reported
-    purely as diagnostics.
+    (1,0) and (0,1). holds needs commutation and all three within the gate.
+    When the pair fails to commute those joint outcomes have no meaning, and
+    the magnitudes of the corresponding traces are reported purely as
+    diagnostics.
     """
 
     commutes: bool
@@ -58,7 +59,7 @@ def detects(
     rho: DensityOperator,
     tol: Tolerance = DEFAULT_TOL,
 ) -> DetectionCheck:
-    """Operator-level detection test: commutation plus E.rho = T.rho.
+    """Detection test: commutation, E.rho = T.rho and no discordant outcome.
 
     Takes two dense products, T.E and (E - T).rho. Every trace reads its
     last factor as an O(d^2) sum, which needs T, E and rho Hermitian; the
@@ -82,7 +83,6 @@ def _detects(
     # E - T is finite and bounded by 2 entrywise, since T and E are projections.
     e_minus_t = CMatrix._trusted(e.matrix.array - t.matrix.array)
     s_defect = max_abs((e_minus_t @ rho.matrix).array)
-    holds = commutes and s_defect <= gate
 
     # With E' = 1 - E and T' = 1 - T, the discordances are
     # Tr(rho.T.E') = Tr(rho.T) - Tr(rho.T.E) and Tr(rho.T'.E) = Tr(rho.E) - Tr(rho.T.E),
@@ -99,6 +99,9 @@ def _detects(
     else:
         d10 = abs(raw_10)
         d01 = abs(raw_01)
+    # Both routes of the paper are judged: a discordant mass spread over many
+    # entries can leave the entrywise state defect far below the gate.
+    holds = commutes and max(s_defect, d10, d01) <= gate
 
     p1 = tr_t.real
     note = ""

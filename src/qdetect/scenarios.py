@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cache
 from itertools import combinations
 from typing import Optional, Union
@@ -40,7 +40,7 @@ from .numerics import CMatrix, DEFAULT_TOL, MAX_DIM, Tolerance, hermiticity_defe
 from .observables import DensityOperator, Projection, _unit_vector, derived_projection
 from .detection import _detects
 from .assignment import assignment_probs
-from .reporting import Report
+from .reporting import CheckResult, Report
 
 # The seven outcome symbols of the sign-constraint system, in display order.
 CONSTRAINT_SYMBOLS = (
@@ -112,27 +112,39 @@ def ghsz_sign_constraints() -> ConstraintSet:
     )
 
 
-def _solution_count(cs: ConstraintSet) -> int:
-    """Number of +-1 assignments satisfying cs, by elimination over GF(2).
+def _solution_count(cs: ConstraintSet) -> tuple[int, list[int]]:
+    """Number of +-1 assignments satisfying cs, by elimination over GF(2), and
+    for a count of 0 the indices of equations that together refute cs.
 
     With s = (-1)**x each equation is one row: XOR of x over left and right
     (a repeated symbol cancels) = [sign == -1]. A consistent system of rank
     r over k symbols has 2**(k - r) solutions, an inconsistent one none.
-    The tests check this count against a brute force over all 2**k signs.
+    A row also carries the set of pivots it was reduced by (at most k), so a
+    row reduced to the bare sign bit names the equations it is the sum of.
+    The tests check the count against a brute force over all 2**k signs.
     """
     bit = {s: 2 << i for i, s in enumerate(cs.symbols)}  # bit 0 holds the sign
-    pivots: dict[int, int] = {}  # bit length -> reduced row with that leading bit
-    for eq in cs.equations:
-        row = int(eq.sign == -1)
+    sources: list[int] = []  # the equation each pivot row started from
+    pivots: dict[int, tuple[int, int]] = {}  # bit length -> (row, bits of `sources` summed)
+    for i, eq in enumerate(cs.equations):
+        row, used = int(eq.sign == -1), 0
         for s in eq.left + eq.right:
             row ^= bit[s]
         while row.bit_length() in pivots:
-            row ^= pivots[row.bit_length()]
+            pivot, pivot_used = pivots[row.bit_length()]
+            row ^= pivot
+            used ^= pivot_used
         if row == 1:
-            return 0
+            return 0, [j for p, j in enumerate(sources) if used >> p & 1] + [i]
         if row:
-            pivots[row.bit_length()] = row
-    return 2 ** (len(cs.symbols) - len(pivots))
+            pivots[row.bit_length()] = (row, used | 1 << len(sources))
+            sources.append(i)
+    return 2 ** (len(cs.symbols) - len(pivots)), []
+
+
+# A claim kind is one class and one _CLAIM_KINDS entry. Its fields are the
+# fields of its file entry (a ConstraintSet as symbols and equations), and
+# `judge` makes its report line from product(a, b), a memoized A.B.
 
 
 @dataclass(frozen=True)
@@ -141,11 +153,32 @@ class CommutationClaim:
     b: str
     expected: bool = True
 
+    kind = "commute"
+
+    def judge(self, scn: Scenario, tol: Tolerance, product) -> CheckResult:
+        # The commutator of Hermitian A and B is A.B - (A.B)^dagger.
+        defect = hermiticity_defect(product(self.a, self.b))
+        passed = (defect <= tol.gate(scn.dim)) == self.expected
+        detail = "" if self.expected else "expected non-commuting"
+        name = f"commutation:{self.a}~{self.b}"
+        return CheckResult(name, passed, defect, "claim:commute", detail)
+
 
 @dataclass(frozen=True)
 class DetectionClaim:
     t: str
     e: str
+
+    kind = "detect"
+
+    def judge(self, scn: Scenario, tol: Tolerance, product) -> CheckResult:
+        t, e = scn.observable(self.t), scn.observable(self.e)
+        check = _detects(t, e, scn.state, tol, product(self.t, self.e))
+        residual = max(
+            check.commutator_defect, check.state_equal_defect, check.discord_10, check.discord_01
+        )
+        name = f"detection:{self.t}->{self.e}"
+        return CheckResult(name, check.holds, residual, "claim:detect", check.note)
 
 
 @dataclass(frozen=True)
@@ -153,8 +186,22 @@ class ConstraintClaim:
     constraints: ConstraintSet
     satisfiable: bool = False
 
+    kind = "constraints"
 
-Claim = Union[CommutationClaim, DetectionClaim, ConstraintClaim]
+    def judge(self, scn: Scenario, tol: Tolerance, product) -> CheckResult:
+        count, refuting = _solution_count(self.constraints)
+        passed = (count > 0) == self.satisfiable
+        detail = f"{count} of {2 ** len(self.constraints.symbols)} sign assignments satisfy"
+        if refuting:
+            label = "equations" if len(refuting) > 1 else "equation"
+            numbers = ", ".join(str(i + 1) for i in refuting)
+            detail += f"; {label} {numbers}: every symbol cancels and the signs multiply to -1"
+        name = "constraints:satisfiable"
+        return CheckResult(name, passed, float(count), "claim:constraints", detail)
+
+
+_CLAIM_KINDS = {cls.kind: cls for cls in (CommutationClaim, DetectionClaim, ConstraintClaim)}
+Claim = Union[tuple(_CLAIM_KINDS.values())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,12 +229,9 @@ class Scenario:
                 raise DimensionError(
                     f"observable {key!r} has dimension {p.dim}, expected {self.dim}"
                 )
-        referenced = set()
-        for claim in self.declared_claims:
-            if isinstance(claim, CommutationClaim):
-                referenced.update((claim.a, claim.b))
-            elif isinstance(claim, DetectionClaim):
-                referenced.update((claim.t, claim.e))
+        # Every string field of a claim names an observable.
+        claims = self.declared_claims
+        referenced = {getattr(c, f.name) for c in claims for f in fields(c) if f.type == "str"}
         missing = sorted(referenced - set(self.observables))
         if missing:
             raise UnknownObservableError(
@@ -307,52 +351,13 @@ def build_ghsz() -> Scenario:
 def verify_scenario(scn: Scenario, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Check every declared claim of a scenario; one report entry per claim."""
     report = Report(command="verify", inputs={"scenario": scn.name})
-    gate = tol.gate(scn.dim)
     # A commutation claim and a detection claim on the same ordered pair
     # share its product.
     @cache
     def product(a: str, b: str) -> CMatrix:
         return scn.observable(a).matrix @ scn.observable(b).matrix
 
-    for claim in scn.declared_claims:
-        if isinstance(claim, CommutationClaim):
-            # The commutator of Hermitian A and B is A.B - (A.B)^dagger.
-            defect = hermiticity_defect(product(claim.a, claim.b))
-            observed = defect <= gate
-            report.add(
-                name=f"commutation:{claim.a}~{claim.b}",
-                passed=observed == claim.expected,
-                residual=defect,
-                ref="claim:commute",
-                detail="" if claim.expected else "expected non-commuting",
-            )
-        elif isinstance(claim, DetectionClaim):
-            check = _detects(
-                scn.observable(claim.t),
-                scn.observable(claim.e),
-                scn.state,
-                tol,
-                product(claim.t, claim.e),
-            )
-            report.add(
-                name=f"detection:{claim.t}->{claim.e}",
-                passed=check.holds,
-                residual=max(check.commutator_defect, check.state_equal_defect),
-                ref="claim:detect",
-                detail=check.note,
-            )
-        elif isinstance(claim, ConstraintClaim):
-            count = _solution_count(claim.constraints)
-            total = 2 ** len(claim.constraints.symbols)
-            report.add(
-                name="constraints:satisfiable",
-                passed=(count > 0) == claim.satisfiable,
-                residual=float(count),
-                ref="claim:constraints",
-                detail=f"{count} of {total} sign assignments satisfy",
-            )
-        else:
-            raise ValidationError(f"unknown claim type {type(claim).__name__}")
+    report.checks.extend(claim.judge(scn, tol, product) for claim in scn.declared_claims)
     return report
 
 
@@ -532,21 +537,18 @@ def _encode(a: np.ndarray) -> list:
 
 
 def _claim_to_json(claim: Claim) -> dict:
-    if isinstance(claim, CommutationClaim):
-        return {"kind": "commute", "a": claim.a, "b": claim.b, "expected": claim.expected}
-    if isinstance(claim, DetectionClaim):
-        return {"kind": "detect", "t": claim.t, "e": claim.e}
-    if isinstance(claim, ConstraintClaim):
-        return {
-            "kind": "constraints",
-            "symbols": list(claim.constraints.symbols),
-            "equations": [
+    doc = {"kind": claim.kind}
+    for f in fields(claim):
+        value = getattr(claim, f.name)
+        if f.type == "ConstraintSet":
+            doc["symbols"] = list(value.symbols)
+            doc["equations"] = [
                 {"left": list(eq.left), "right": list(eq.right), "sign": eq.sign}
-                for eq in claim.constraints.equations
-            ],
-            "satisfiable": claim.satisfiable,
-        }
-    raise ValidationError(f"unknown claim type {type(claim).__name__}")
+                for eq in value.equations
+            ]
+        else:
+            doc[f.name] = value
+    return doc
 
 
 def save_scenario(scn: Scenario, path) -> None:
@@ -631,14 +633,25 @@ def _field(doc: dict, key: str, where: str, want: str, default=None):
 
     Anything else raises ScenarioFormatError naming the field after `where`.
     """
+    path = f"{where}.{key}" if where else key
     if key not in doc:
         if default is None:
-            raise ScenarioFormatError(f"{where}: missing {key!r}")
+            raise ScenarioFormatError(f"{path}: missing required field")
         return default
     if not _JSON_TYPES[want](doc[key]):
-        path = f"{where}.{key}" if where else key
         raise ScenarioFormatError(f"{path}: expected {want}, got {doc[key]!r}")
     return tuple(doc[key]) if isinstance(doc[key], list) else doc[key]
+
+
+def _constraint_set(entry: dict, at: str) -> ConstraintSet:
+    equations = []
+    for j, eq in enumerate(_field(entry, "equations", at, "an array of objects")):
+        where = f"{at}.equations[{j}]"
+        left = _field(eq, "left", where, "an array of strings")
+        right = _field(eq, "right", where, "an array of strings")
+        sign = _field(eq, "sign", where, "the integer 1 or -1")
+        equations.append(SignEquation(left, right, sign))
+    return ConstraintSet(_field(entry, "symbols", at, "an array of strings"), tuple(equations))
 
 
 def _parse_claim(entry, index: int) -> Claim:
@@ -646,30 +659,18 @@ def _parse_claim(entry, index: int) -> Claim:
     if not isinstance(entry, dict):
         raise ScenarioFormatError(f"{at}: expected an object")
     kind = entry.get("kind")
-    if kind == "commute":
-        return CommutationClaim(
-            a=_field(entry, "a", at, "a string"),
-            b=_field(entry, "b", at, "a string"),
-            expected=_field(entry, "expected", at, "true or false", True),
-        )
-    if kind == "detect":
-        return DetectionClaim(t=_field(entry, "t", at, "a string"), e=_field(entry, "e", at, "a string"))
-    if kind == "constraints":
-        equations = []
-        for j, eq in enumerate(_field(entry, "equations", at, "an array of objects")):
-            where = f"{at}.equations[{j}]"
-            equations.append(
-                SignEquation(
-                    left=_field(eq, "left", where, "an array of strings"),
-                    right=_field(eq, "right", where, "an array of strings"),
-                    sign=_field(eq, "sign", where, "the integer 1 or -1"),
-                )
-            )
-        return ConstraintClaim(
-            ConstraintSet(_field(entry, "symbols", at, "an array of strings"), tuple(equations)),
-            _field(entry, "satisfiable", at, "true or false", False),
-        )
-    raise ScenarioFormatError(f"{at}: unknown claim kind {kind!r}")
+    cls = _CLAIM_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ScenarioFormatError(f"{at}: unknown claim kind {kind!r}")
+    values = []
+    for f in fields(cls):
+        if f.type == "ConstraintSet":
+            values.append(_constraint_set(entry, at))
+        else:
+            want = {"str": "a string", "bool": "true or false"}[f.type]
+            default = None if f.default is MISSING else f.default
+            values.append(_field(entry, f.name, at, want, default))
+    return cls(*values)
 
 
 def load_scenario(path, tol: Tolerance = DEFAULT_TOL) -> Scenario:

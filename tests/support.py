@@ -119,6 +119,29 @@ def random_commuting_nondetecting_triple(
     return t, e, rho
 
 
+def planted_discordance(
+    rng: np.random.Generator, dim: int, k: float
+) -> tuple[Projection, Projection, DensityOperator]:
+    """Commuting (T, E), E = T plus one rank-one projector, in a Haar basis.
+
+    rho puts mass k * gate on that extra direction, so Tr(rho.T'.E) = k * gate,
+    and spreads the rest evenly over range(T). The state defect
+    max|(E - T).rho| is only about k * gate * ln(dim) / dim.
+    """
+    gate = qdetect.numerics.DEFAULT_TOL.gate(dim)
+    v = haar_unitary(rng, dim)
+    half = dim // 2
+    t_bits = np.zeros(dim)
+    t_bits[:half] = 1.0
+    e_bits = t_bits.copy()
+    e_bits[half] = 1.0
+    weights = np.zeros(dim)
+    weights[half] = k * gate
+    weights[:half] = (1.0 - k * gate) / half
+    rho = DensityOperator(CMatrix((v * weights) @ v.conj().T), name="rho")
+    return projection_in_basis(v, t_bits, "T"), projection_in_basis(v, e_bits, "E"), rho
+
+
 def refine_inside(
     rng: np.random.Generator, t: Projection, rank: int | None = None
 ) -> Projection:

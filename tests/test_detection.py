@@ -5,9 +5,11 @@ from qdetect import (
     CMatrix,
     CoMeasurabilityError,
     DensityOperator,
+    DetectionClaim,
     DimensionError,
     PreconditionError,
     Projection,
+    Scenario,
     assignment_probs,
     complement,
     complement_lemma_check,
@@ -17,6 +19,7 @@ from qdetect import (
     outer,
     rank_one_detector,
     refinement_check,
+    verify_scenario,
 )
 from qdetect.numerics import DEFAULT_TOL, eigh, hermiticity_defect
 from qdetect.observables import _rho_trace, commutator_defect
@@ -25,6 +28,7 @@ from support import (
     ROUTE_TOL,
     count_products,
     pair_library,
+    planted_discordance,
     random_commuting_nondetecting_triple,
     random_decomposition,
     random_density,
@@ -129,6 +133,27 @@ def test_probability_route_equivalence_sweep():
         check = detects(t, e, rho)
         assert check.commutes and not check.holds
         assert not detects_via_probability(t, e, rho)
+
+
+@pytest.mark.parametrize("dim", [64, 256])
+def test_discordant_mass_fails_detection(dim):
+    # k gates of discordant mass spread over a Haar basis leave the entrywise
+    # state defect below the gate; the verdict still fails for k > 1, on the
+    # discordance, and so agrees with the probability route.
+    gate = DEFAULT_TOL.gate(dim)
+    rng = np.random.default_rng(dim)
+    for k in (0.0, 0.5, 2.0, 5.0):
+        t, e, rho = planted_discordance(rng, dim, k)
+        check = detects(t, e, rho)
+        assert check.commutes and check.state_equal_defect < gate
+        assert check.discord_01 == pytest.approx(k * gate, rel=1e-6, abs=1e-3 * gate)
+        assert check.holds == (k <= 1.0) == detects_via_probability(t, e, rho)
+        scn = Scenario("discordant", dim, rho, {"T": t, "E": e}, [DetectionClaim("T", "E")])
+        (line,) = verify_scenario(scn).checks
+        assert line.name == "detection:T->E" and line.passed == check.holds
+        assert line.residual == max(
+            check.commutator_defect, check.state_equal_defect, check.discord_10, check.discord_01
+        )
 
 
 def test_complement_lemma_check_agrees_both_ways():

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import MISSING, fields, replace
 from itertools import product as cartesian
 
 import numpy as np
@@ -37,7 +38,7 @@ from qdetect import (
 )
 from qdetect.cli import main
 from qdetect.observables import _rho_trace
-from qdetect.scenarios import CONSTRAINT_SYMBOLS, MAX_SYMBOLS, _decode, _encode
+from qdetect.scenarios import _CLAIM_KINDS, CONSTRAINT_SYMBOLS, MAX_SYMBOLS, _decode, _encode
 
 from support import (
     brute_force_constraints,
@@ -126,10 +127,34 @@ def _constraint_report(cs: ConstraintSet, satisfiable: bool = True):
     return check
 
 
+_REFUTED = re.compile(
+    r"; equations? ([0-9, ]+): every symbol cancels and the signs multiply to -1$"
+)
+
+
+def _assert_refutes(cs: ConstraintSet, detail: str) -> None:
+    """The equations a count-0 detail names, taken together, read 1 = -1.
+
+    Multiplies them out directly, with no elimination: every symbol must
+    occur an even number of times and the signs must multiply to -1.
+    """
+    named = _REFUTED.search(detail)
+    assert named, detail
+    numbers = [int(n) for n in named.group(1).split(", ")]
+    assert numbers == sorted(set(numbers)) and 1 <= numbers[0] and numbers[-1] <= len(cs.equations)
+    odd, sign = set(), 1
+    for n in numbers:
+        eq = cs.equations[n - 1]
+        sign *= eq.sign
+        odd ^= {s for s in cs.symbols if (eq.left + eq.right).count(s) % 2}
+    assert odd == set() and sign == -1
+
+
 def test_verify_counts_match_enumeration():
     rng = np.random.default_rng(59)
-    # 60 random sizes up to 12 symbols, then systems of dense-verify's 13 and 14.
-    for k in [0] * 60 + [13, 14, 13, 14]:
+    # 60 random sizes up to 12 symbols, then systems of dense-verify's 13 and
+    # 14, and one each of 15 and 16.
+    for k in [0] * 60 + [13, 14, 13, 14, 15, 16]:
         k = k or int(rng.integers(1, 13))
         symbols = tuple(f"s{i}" for i in range(k))
 
@@ -145,10 +170,53 @@ def test_verify_counts_match_enumeration():
         satisfying, total = brute_force_constraints(cs)
         check = _constraint_report(cs)
         assert check.residual == float(len(satisfying))
-        assert check.detail == f"{len(satisfying)} of {total} sign assignments satisfy"
+        counted = f"{len(satisfying)} of {total} sign assignments satisfy"
+        if satisfying:
+            assert check.detail == counted
+        else:
+            assert check.detail.startswith(counted + "; equation")
+            _assert_refutes(cs, check.detail)
         assert check.passed == (len(satisfying) > 0)
     assert _constraint_report(ghsz_sign_constraints(), False).detail == (
-        "0 of 128 sign assignments satisfy"
+        "0 of 128 sign assignments satisfy; equations 1, 2, 3, 4: "
+        "every symbol cancels and the signs multiply to -1"
+    )
+
+
+def test_unsatisfiable_detail_names_a_refuting_subset():
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        k = int(rng.integers(1, MAX_SYMBOLS + 1))
+        symbols = tuple(f"s{i}" for i in range(k))
+
+        def monomial():
+            return tuple(rng.choice(symbols, size=int(rng.integers(1, 4))).tolist())
+
+        eqs = [
+            SignEquation(monomial(), monomial(), int(rng.choice([1, -1])))
+            for _ in range(int(rng.integers(1, k + 2)))
+        ]
+        # The product of a random subset with its sign flipped contradicts
+        # that subset; shuffled in, it may be found through other rows.
+        subset = [eqs[j] for j in rng.choice(len(eqs), int(rng.integers(1, len(eqs) + 1)), False)]
+        eqs.append(
+            SignEquation(
+                sum((eq.left for eq in subset), ()),
+                sum((eq.right for eq in subset), ()),
+                -math.prod(eq.sign for eq in subset),
+            )
+        )
+        cs = ConstraintSet(symbols, tuple(eqs[j] for j in rng.permutation(len(eqs))))
+        check = _constraint_report(cs, False)
+        assert check.passed and check.residual == 0.0
+        assert check.detail.startswith(f"0 of {2**k} sign assignments satisfy; equation")
+        _assert_refutes(cs, check.detail)
+    # One equation can refute itself.
+    equal = SignEquation(("p",), ("q",), 1)
+    cs = ConstraintSet(("p", "q"), (equal, SignEquation(("p", "q"), ("q", "p"), -1)))
+    assert _constraint_report(cs, False).detail == (
+        "0 of 4 sign assignments satisfy; equation 2: "
+        "every symbol cancels and the signs multiply to -1"
     )
 
 
@@ -163,6 +231,8 @@ def test_verify_counts_forty_symbols_without_enumeration():
     contradiction = chain + (SignEquation(("s00",), ("s30",), -1),)
     check = _constraint_report(ConstraintSet(symbols, contradiction), False)
     assert check.passed and check.residual == 0.0
+    numbers = ", ".join(str(n) for n in range(1, 32))
+    assert f"; equations {numbers}: every symbol cancels" in check.detail
 
 
 def test_constraint_sets_cap_their_symbols(ghsz_file, tmp_path):
@@ -695,6 +765,66 @@ def test_load_rejects_mistyped_fields(tmp_path, path, value):
     where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
     with pytest.raises(ScenarioFormatError, match="^" + re.escape(where.lstrip(".") + ": expected")):
         load_scenario(_write(tmp_path, doc))
+
+
+# Built from a claim kind's field annotations alone, so every kind in the
+# table gets the two tests below; a new field type needs one entry here.
+_FIELD_SAMPLES = {
+    "str": lambda default: "E",
+    "bool": lambda default: default is MISSING or not default,
+    "ConstraintSet": lambda default: ConstraintSet(
+        ("p", "q"), (SignEquation(("p",), ("q", "q"), -1), SignEquation(("q",), ("p",), 1))
+    ),
+}
+
+
+def _saved_claims(tmp_path, kind: str):
+    """A scenario whose claims[1] is a sample of `kind`, that sample, and the path written."""
+    cls = _CLAIM_KINDS[kind]
+    claim = cls(*(_FIELD_SAMPLES[f.type](f.default) for f in fields(cls)))
+    base = load_scenario(_write(tmp_path, _base_doc()))
+    claims = [CommutationClaim("E", "E"), claim]
+    scn = Scenario(base.name, base.dim, base.state, base.observables, claims)
+    path = tmp_path / f"{kind}.json"
+    save_scenario(scn, path)
+    return scn, claim, path
+
+
+@pytest.mark.parametrize("kind", sorted(_CLAIM_KINDS))
+def test_claim_kind_survives_save_load_save(tmp_path, kind):
+    scn, claim, path = _saved_claims(tmp_path, kind)
+    assert json.loads(path.read_text())["claims"][1]["kind"] == kind
+    loaded = load_scenario(path)
+    assert loaded == scn and loaded.declared_claims[1] == claim
+    save_scenario(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_CLAIM_KINDS))
+def test_claim_kind_names_each_missing_or_mistyped_field(tmp_path, kind):
+    _, claim, path = _saved_claims(tmp_path, kind)
+    doc = json.loads(path.read_text())
+    defaults = {f.name: f.default for f in fields(claim) if f.default is not MISSING}
+    keys = [key for key in doc["claims"][1] if key != "kind"]
+    assert keys
+    for key in keys:
+        entry = doc["claims"][1]
+        value = entry.pop(key)
+        if key in defaults:
+            loaded = load_scenario(_write(tmp_path, doc)).declared_claims[1]
+            assert loaded == replace(claim, **{key: defaults[key]})
+        else:
+            with pytest.raises(ScenarioFormatError, match=rf"^claims\[1\]\.{key}: missing"):
+                load_scenario(_write(tmp_path, doc))
+        # 3 is none of a string, a boolean, an array or an object.
+        entry[key] = 3
+        with pytest.raises(ScenarioFormatError, match=rf"^claims\[1\]\.{key}: expected"):
+            load_scenario(_write(tmp_path, doc))
+        entry[key] = value
+    for bogus in ("bogus", [kind], None):
+        doc["claims"][1]["kind"] = bogus
+        with pytest.raises(ScenarioFormatError, match=r"^claims\[1\]: unknown claim kind"):
+            load_scenario(_write(tmp_path, doc))
 
 
 def test_load_rejects_wrong_dimension(tmp_path):
