@@ -12,7 +12,9 @@ Three built-in scenarios:
 
 Scenarios serialize to JSON with each complex entry an [re, im] number pair,
 written by one encoder and read by one decoder (ScenarioFormatError for bad
-nesting or leaves, DimensionError for a wrong size); loading re-validates all.
+nesting or leaves, DimensionError for a wrong size); loading decodes each
+array as soon as it is parsed, so it holds one array's lists at a time, and
+re-validates all.
 A pure state (one built by DensityOperator.pure) is written as its vector,
 any other state as its matrix.
 """
@@ -580,6 +582,75 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
+# The objects of a scenario file that _parse reads key by key ("*" stands for
+# any key); an int is the ndim of an array of [re, im] pairs there. Every
+# other value is parsed whole by _JSON, the standard library's scanner, which
+# refuses duplicate keys at any depth.
+_LAYOUT = {"state": {"vector": 1, "matrix": 2}, "observables": {"*": 2}}
+_JSON = json.JSONDecoder(object_pairs_hook=_reject_duplicate_keys)
+
+
+def _skip(s: str, idx: int) -> int:
+    """The index after the JSON whitespace at s[idx:]."""
+    return json.decoder.WHITESPACE.match(s, idx).end()
+
+
+def _parse(text: str):
+    """json.loads(text, object_pairs_hook=_reject_duplicate_keys), except that
+    a well-formed array at an int of _LAYOUT comes back as its _floats array.
+
+    Each array's lists are dropped as soon as it is parsed, so a load holds
+    one array as Python objects, not the whole file. Faults raise the same
+    exception with the same message, at the same point of the text.
+    """
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    doc, end = _read(text, _skip(text, 0), _LAYOUT)
+    end = _skip(text, end)
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return doc
+
+
+def _read(s: str, idx: int, layout):
+    """The JSON value at s[idx] and the index after it (see _parse)."""
+    if isinstance(layout, dict) and s[idx:idx + 1] == "{":
+        return _read_object(s, idx, layout)
+    value, end = _JSON.raw_decode(s, idx)
+    if isinstance(layout, int) and isinstance(value, list) and value:
+        array = _floats(value, (len(value),) * layout + (2,))
+        if array is not None:  # else _decode names the fault later in the load
+            value = array
+    return value, end
+
+
+def _read_object(s: str, start: int, layout) -> tuple[dict, int]:
+    """The object whose "{" is s[start], read pair by pair as
+    json.decoder.JSONObject reads it, duplicate keys refused on closing.
+
+    Where the text stops being a well-formed object, _JSON reads the whole
+    object again and so raises the standard library's own error for it.
+    """
+    pairs = []
+    end = _skip(s, start + 1)
+    if s[end:end + 1] == "}":
+        return _reject_duplicate_keys(pairs), end + 1
+    while s[end:end + 1] == '"':
+        key, end = json.decoder.scanstring(s, end + 1)
+        end = _skip(s, end)
+        if s[end:end + 1] != ":":
+            break
+        value, end = _read(s, _skip(s, end + 1), layout.get(key, layout.get("*")))
+        pairs.append((key, value))
+        end = _skip(s, end)
+        if s[end:end + 1] == "}":
+            return _reject_duplicate_keys(pairs), end + 1
+        if s[end:end + 1] != ",":
+            break
+        end = _skip(s, end + 1)
+    return _JSON.raw_decode(s, start)
+
+
 def _floats(doc, shape: tuple[int, ...]) -> Optional[np.ndarray]:
     """doc as a float64 array of exactly this shape, or None if it is not one."""
     leaves = np.array(doc, dtype=object)
@@ -592,17 +663,21 @@ def _floats(doc, shape: tuple[int, ...]) -> Optional[np.ndarray]:
 
 
 def _decode(doc, dim: int, where: str, ndim: int) -> np.ndarray:
-    """The complex vector (ndim 1) or square matrix (ndim 2) written in doc.
+    """The complex vector (ndim 1) or square matrix (ndim 2) written in doc,
+    the parsed pairs or the float array _parse made of them.
 
     Leaves must be JSON ints or floats in the float range. ScenarioFormatError
     names the first bad row or entry; DimensionError means a well-formed array
     (an empty vector, but not an empty matrix) whose size is not dim.
     """
-    if not isinstance(doc, list) or (ndim == 2 and not doc):
+    if not isinstance(doc, (list, np.ndarray)) or (ndim == 2 and len(doc) == 0):
         raise ScenarioFormatError(f"{where}: expected a nested array of [re, im] pairs")
     n = len(doc)
     shape = (n,) * ndim + (2,)
-    values = _floats(doc, shape) if n else np.empty(shape)
+    if isinstance(doc, np.ndarray):
+        values = doc
+    else:
+        values = _floats(doc, shape) if n else np.empty(shape)
     if values is None:  # find the first fault, in row-major order
         for i, row in enumerate(doc if ndim == 2 else [doc]):
             if ndim == 2 and (not isinstance(row, list) or len(row) != n):
@@ -687,8 +762,10 @@ def load_scenario(path, tol: Tolerance = DEFAULT_TOL) -> Scenario:
             text = handle.read()
     except OSError as err:
         raise ScenarioFormatError(f"cannot read scenario file {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ScenarioFormatError(f"scenario file {path} is not UTF-8 text: {err}") from err
     try:
-        doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+        doc = _parse(text)
     except ScenarioFormatError:  # a duplicate key
         raise
     except (ValueError, RecursionError) as err:  # also a too-long integer or too-deep nesting

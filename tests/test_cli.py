@@ -118,6 +118,15 @@ def test_missing_scenario_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_scenario_file_not_utf8_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "\xff"}')
+    assert main(["detect", str(path), "A", "B"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is not UTF-8 text" in err
+
+
 def test_oversized_dim_is_input_error(tmp_path, capsys):
     # The state is malformed too: the dim cap must fire before any parsing.
     path = tmp_path / "huge.json"

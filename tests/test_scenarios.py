@@ -1,8 +1,10 @@
 import json
 import math
+import random
 import re
+import tracemalloc
 from dataclasses import MISSING, fields, replace
-from itertools import product as cartesian
+from itertools import permutations, product as cartesian
 
 import numpy as np
 import pytest
@@ -38,13 +40,25 @@ from qdetect import (
 )
 from qdetect.cli import main
 from qdetect.observables import _rho_trace
-from qdetect.scenarios import _CLAIM_KINDS, CONSTRAINT_SYMBOLS, MAX_SYMBOLS, _decode, _encode
+from qdetect.scenarios import (
+    _CLAIM_KINDS,
+    CONSTRAINT_SYMBOLS,
+    MAX_SYMBOLS,
+    _decode,
+    _encode,
+    _floats,
+    _parse,
+    _reject_duplicate_keys,
+)
 
 from support import (
     brute_force_constraints,
     count_products,
     ghz_vector,
+    haar_unitary,
     outer_oracle_state,
+    projection_in_basis,
+    random_density,
     random_detecting_triple,
     random_projection,
     reference_decode_pairs,
@@ -889,3 +903,155 @@ def test_encode_matches_per_entry_reference():
     for a in arrays:
         # json.dumps tells -0.0 from 0.0 and 1 from 1.0, which == does not.
         assert json.dumps(_encode(a)) == json.dumps(reference_encode_pairs(a))
+
+
+def test_load_refuses_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "\xff"}')
+    with pytest.raises(ScenarioFormatError, match="is not UTF-8 text: 'utf-8' codec can't decode"):
+        load_scenario(path)
+
+
+# ---------------------------------------------------------------------------
+# The reader against json.loads
+
+
+def _loads_then_floats(text: str):
+    """What _parse must give: json.loads, then _floats on each array path."""
+    doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+    slots = []
+    if isinstance(doc, dict) and isinstance(doc.get("state"), dict):
+        slots += [(doc["state"], "vector", 1), (doc["state"], "matrix", 2)]
+    if isinstance(doc, dict) and isinstance(doc.get("observables"), dict):
+        slots += [(doc["observables"], key, 2) for key in doc["observables"]]
+    for obj, key, ndim in slots:
+        value = obj.get(key)
+        if isinstance(value, list) and value:
+            array = _floats(value, (len(value),) * ndim + (2,))
+            if array is not None:
+                obj[key] = array
+    return doc
+
+
+def _canonical(x):
+    """x in a form == compares exactly: types kept, floats by bits, arrays by bytes."""
+    if isinstance(x, np.ndarray):
+        return ("ndarray", x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, dict):
+        return ("object", [(key, _canonical(value)) for key, value in x.items()])
+    if isinstance(x, list):
+        return ("list", [_canonical(value) for value in x])
+    if isinstance(x, float):
+        return ("float", x.hex())
+    return (type(x).__name__, x)
+
+
+def _outcome(route, text: str):
+    try:
+        return _canonical(route(text))
+    except (ValueError, RecursionError) as err:  # ScenarioFormatError is a ValueError
+        return type(err), str(err)
+
+
+def _object_text(pairs) -> str:
+    """A JSON object from (key, value text) pairs, duplicate keys allowed."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in pairs) + "}"
+
+
+def _reordered_texts(doc: dict):
+    """doc's text with its top-level keys and its state keys in every order."""
+    for state in permutations(doc["state"].items()):
+        state_text = _object_text((key, json.dumps(value)) for key, value in state)
+        top = [(k, state_text if k == "state" else json.dumps(v)) for k, v in doc.items()]
+        yield from (_object_text(order) for order in permutations(top))
+
+
+def _duplicated_texts(text: str):
+    """Compact scenario text with a key repeated in the top level, the state,
+    the observables or the first claim."""
+    for key in ("dim", "type", "E", "kind"):
+        anchor = f'"{key}": '
+        assert anchor in text
+        yield text.replace(anchor, f"{anchor}[], {anchor}", 1)
+
+
+def test_parse_matches_json_loads_on_edited_files(tmp_path):
+    scenarios = (build_ghsz(), build_rt_analogue(), build_example_44(math.pi / 6.0))
+    saved = []
+    for scn in scenarios:
+        path = tmp_path / "saved.json"
+        save_scenario(scn, path)
+        saved.append(path.read_text())
+    docs = [json.loads(text) for text in saved]
+    assert docs[2]["state"]["type"] == "density"
+    # Both forms of whitespace: save_scenario's indented text and a compact one.
+    bases = saved + [json.dumps(doc) for doc in docs]
+    for doc in docs[1:]:
+        bases.extend(_duplicated_texts(json.dumps(doc)))
+
+    # A byte-order mark before each text and a second value after it.
+    texts = bases + ["\ufeff" + text for text in bases] + [text + " []" for text in bases]
+    for scn, doc in zip(scenarios[1:], docs[1:]):
+        for text in _reordered_texts(doc):
+            # dim and type may come after the arrays they size.
+            assert load_scenario(_write(tmp_path, text)) == scn
+            texts.append(text)
+
+    rng = random.Random(2206)
+    alphabet = list('{}[]:,"\\ \n\t0123456789-+.eEtfnNaI\x00\ufeff') + ['"x"', '"dim"', "[]", "{}"]
+    for _ in range(2400):
+        text = rng.choice(bases)
+        at = rng.randrange(len(text) + 1)
+        edit = rng.randrange(4)
+        if edit == 0:
+            texts.append(text[:at])
+        elif edit == 1:
+            texts.append(text[:at] + text[at + 1:])
+        elif edit == 2:
+            texts.append(text[:at] + rng.choice(alphabet) + text[at + 1:])
+        else:
+            texts.append(text[:at] + rng.choice(alphabet) + text[at:])
+    kinds = set()
+    for text in texts:
+        want = _outcome(_loads_then_floats, text)
+        assert _outcome(_parse, text) == want, text
+        kinds.add(want[1].partition(": line ")[0] if isinstance(want[0], type) else "parsed")
+    # The set reaches every way the reader itself can stop, not only the scanner's.
+    for kind in (
+        "parsed",
+        "Expecting property name enclosed in double quotes",
+        "Expecting ':' delimiter",
+        "Expecting ',' delimiter",
+        "Expecting value",
+        "Extra data",
+        "Unexpected UTF-8 BOM (decode using utf-8-sig)",
+        "Unterminated string starting at",
+    ):
+        assert kind in kinds
+    assert any(kind.startswith("duplicate key") for kind in kinds)
+
+
+def test_load_peak_memory_stays_near_file_size(tmp_path):
+    # The shape of the simulate-family benchmark: a dim-64 density state and
+    # 12 observables diagonal in one Haar basis, written without indentation.
+    rng = np.random.default_rng(64)
+    dim = 64
+    basis = haar_unitary(rng, dim)
+    observables = {
+        f"X{j:02d}": projection_in_basis(basis, rng.integers(0, 2, dim)) for j in range(12)
+    }
+    scn = Scenario("family", dim, random_density(rng, dim), observables)
+    path = tmp_path / "family.json"
+    save_scenario(scn, path)
+    path.write_text(json.dumps(json.loads(path.read_text())))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = load_scenario(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == scn
+    # Reading the file holds its bytes and its text; parsing adds one
+    # matrix's lists at a time.
+    assert peak < 2.5 * size
