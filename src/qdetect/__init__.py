@@ -75,6 +75,7 @@ from .scenarios import (
     DetectionClaim,
     Scenario,
     SignEquation,
+    SumRuleClaim,
     build_example_44,
     build_ghsz,
     build_rt_analogue,

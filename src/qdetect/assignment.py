@@ -46,9 +46,10 @@ from .detection import detects
 MAX_FAMILY = 12
 
 
-def _sandwich(rho: CMatrix, e: CMatrix, f: CMatrix, gate: float) -> float:
-    """The sandwich Tr(rho.E.F.E), real for Hermitian rho, E and F."""
-    return _real_trace("Tr(rho.E.F.E)", gate, rho, e, f, e)
+def _sandwich(x: CMatrix, e: CMatrix, f: CMatrix, gate: float) -> float:
+    """The sandwich Tr(rho.E.F.E) from x = rho.E, real for Hermitian rho, E
+    and F: one product, X.F."""
+    return _real_trace("Tr(rho.E.F.E)", gate, x, f, e)
 
 
 def _assert_probability(p: float, gate: float, what: str) -> float:
@@ -93,7 +94,7 @@ def assignment_probs(
         )
     gate = tol.gate(e.dim)
     x = rho.matrix @ e.matrix
-    raw_ef = _real_trace("Tr(rho.E.F.E)", gate, x, f.matrix, e.matrix)
+    raw_ef = _sandwich(x, e.matrix, f.matrix, gate)
     re_ef = _rho_trace(x, f.matrix).real
     raw_f = _real_trace("Tr(rho.F)", gate, rho.matrix, f.matrix)
     raw_epf = raw_f - 2.0 * re_ef + raw_ef
@@ -226,7 +227,7 @@ def check_C1(
     labels = [e.name or "E", f.name or "F"]
     _require_pairwise_commuting(labels, [e.matrix, f.matrix], gate, CoMeasurabilityError)
     x = rho.matrix @ e.matrix
-    sandwich = _real_trace("Tr(rho.E.F.E)", gate, x, f.matrix, e.matrix)
+    sandwich = _sandwich(x, e.matrix, f.matrix, gate)
     plain = _real_trace("Tr(rho.E.F)", gate, x, f.matrix)
     return abs(sandwich - plain) <= gate
 
@@ -273,7 +274,7 @@ def detection_form_equality(
         raise PreconditionError("the equality is only claimed under detection")
     gate = tol.gate(t.dim)
     _require_commute_with([f], gate, detector=t)
-    lhs = _sandwich(rho.matrix, e.matrix, f.matrix, gate)
+    lhs = _sandwich(rho.matrix @ e.matrix, e.matrix, f.matrix, gate)
     rhs = _real_trace("Tr(rho.F.T)", gate, rho.matrix, f.matrix, t.matrix)
     return abs(lhs - rhs) <= gate
 
@@ -299,9 +300,10 @@ def cz_property_check(
             f"conditional functional undefined: Tr(rho.E) = {den!r}"
         )
     _require_commute_with(sample_f, gate, detector=t)
+    x = rho.matrix @ e.matrix
 
     def conditional(fm: CMatrix) -> float:
-        return _sandwich(rho.matrix, e.matrix, fm, gate) / den
+        return _sandwich(x, e.matrix, fm, gate) / den
 
     ok = abs(conditional(identity(e.dim)) - 1.0) <= gate
     for fi, fj in combinations([f.matrix for f in sample_f], 2):

@@ -3,9 +3,9 @@
 Subcommands map one-to-one onto the library verifiers:
 
 * ghsz       build and verify the four-qubit no-go scenario
-* detect     run a detection check between two named observables of a file
+* detect     judge one detection claim between two named observables of a file
 * example44  verify the two-state sum-rule counterexample at an angle
-* c3         evaluate the complement sum rule for a named pair of a file
+* c3         judge one sum-rule claim for a named pair of observables of a file
 * simulate   sample a specimen ensemble for a commuting family, write CSV
 
 Exit codes: 0 all checks matched expectations, 1 at least one check failed,
@@ -18,10 +18,10 @@ import argparse
 import math
 import sys
 import warnings
+from dataclasses import fields, replace
 from typing import Optional, Sequence
 
-from .assignment import _simulation_equalities, assignment_probs, joint_distribution
-from .detection import detects
+from .assignment import _simulation_equalities, joint_distribution
 from .ensemble import (
     check_request, check_support_statements, check_z, detection_frequency_audit, sample_ensemble
 )
@@ -31,68 +31,38 @@ from .observables import commutes
 from .reporting import Report
 from .scenarios import (
     DetectionClaim,
+    Scenario,
+    SumRuleClaim,
     build_ghsz,
     load_scenario,
     verify_example_44,
     verify_ghsz,
+    verify_scenario,
 )
 
-def cmd_detect(args: argparse.Namespace, tol: Tolerance) -> Report:
+
+def _verify_claim(args: argparse.Namespace, tol: Tolerance, cls) -> tuple[Scenario, Report]:
+    """The file's scenario, and verify_scenario of it with one claim of kind
+    cls in place of its own, the claim's fields read from the arguments of
+    the same names (an unknown name raises, listing the declared ones)."""
     scn = load_scenario(args.scenario, tol)
-    t = scn.observable(args.t)
-    e = scn.observable(args.e)
-    rho = scn.state
-    gate = tol.gate(scn.dim)
-    report = Report(command="detect", inputs={"scenario": scn.name, "t": args.t, "e": args.e})
-    check = detects(t, e, rho, tol)
-    report.add(
-        name="commutation",
-        passed=check.commutes,
-        residual=check.commutator_defect,
-        ref="detection:commutation",
-    )
-    report.add(
-        name="state-equality",
-        passed=check.state_equal_defect <= gate,
-        residual=check.state_equal_defect,
-        ref="detection:state-equality",
-    )
-    if check.commutes:
-        report.add(
-            name="discordance-10",
-            passed=check.discord_10 <= gate,
-            residual=check.discord_10,
-            ref="detection:discordance",
-        )
-        report.add(
-            name="discordance-01",
-            passed=check.discord_01 <= gate,
-            residual=check.discord_01,
-            ref="detection:discordance",
-        )
-    report.add(
-        name="detection-holds",
-        passed=check.holds,
-        residual=check.state_equal_defect,
-        ref="detection:holds",
-        detail=check.note,
-    )
-    if check.holds:
-        compatible = [
-            p
-            for name, p in scn.observables.items()
-            if name not in (args.t, args.e)
-            and commutes(p, t, tol)
-            and commutes(p, e, tol)
-        ]
-        # check.holds and the filter above are the preconditions
-        # simulation_equalities checks.
-        for sim in _simulation_equalities(t, e, rho, compatible, tol):
-            defined = [
-                d
-                for d in (sim.defect_outcome1, sim.defect_outcome0)
-                if d is not None
-            ]
+    names = {f.name: getattr(args, f.name) for f in fields(cls)}
+    report = verify_scenario(replace(scn, declared_claims=[cls(**names)]), tol)
+    report.command = args.command
+    report.inputs.update(names)
+    return scn, report
+
+
+def cmd_detect(args: argparse.Namespace, tol: Tolerance) -> Report:
+    scn, report = _verify_claim(args, tol, DetectionClaim)
+    if report.checks[0].passed:
+        t, e = scn.observable(args.t), scn.observable(args.e)
+        others = (p for name, p in scn.observables.items() if name not in (args.t, args.e))
+        compatible = [p for p in others if commutes(p, t, tol) and commutes(p, e, tol)]
+        # The passing detection line and the filter above are the
+        # preconditions simulation_equalities checks.
+        for sim in _simulation_equalities(t, e, scn.state, compatible, tol):
+            defined = [d for d in (sim.defect_outcome1, sim.defect_outcome0) if d is not None]
             report.add(
                 name=f"simulation:{sim.f_name}",
                 passed=sim.passed,
@@ -100,26 +70,6 @@ def cmd_detect(args: argparse.Namespace, tol: Tolerance) -> Report:
                 ref="detection:simulation",
                 detail=sim.note,
             )
-    return report
-
-
-def cmd_c3(args: argparse.Namespace, tol: Tolerance) -> Report:
-    scn = load_scenario(args.scenario, tol)
-    e = scn.observable(args.e)
-    f = scn.observable(args.f)
-    gate = tol.gate(scn.dim)
-    report = Report(command="c3", inputs={"scenario": scn.name, "e": args.e, "f": args.f})
-    probs = assignment_probs(e, f, scn.state, tol)
-    report.add(
-        name="sum-rule",
-        passed=probs.c3_residual <= gate,
-        residual=probs.c3_residual,
-        ref="claim:sum-rule",
-        detail=(
-            f"p(E&F)={probs.p_e_and_f!r} p(E'&F)={probs.p_eprime_and_f!r} "
-            f"Tr(rho.F)={probs.tr_rho_f!r}"
-        ),
-    )
     return report
 
 
@@ -227,7 +177,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_c3 = command(
-        "c3", cmd_c3, "evaluate the complement sum rule for a pair of observables"
+        "c3",
+        lambda args, tol: _verify_claim(args, tol, SumRuleClaim)[1],
+        "evaluate the complement sum rule for a pair of observables",
     )
     p_c3.add_argument("scenario", help="scenario JSON file")
     p_c3.add_argument("e", help="conditioning observable name")

@@ -43,6 +43,8 @@ class LemmaViolationError(ToolkitError, RuntimeError):
 class UnknownObservableError(ToolkitError, KeyError):
     """A name was requested that the scenario does not declare."""
 
+    __str__ = Exception.__str__  # the message as written, not quoted as a key
+
 
 class ScenarioFormatError(ToolkitError, ValueError):
     """A scenario file could not be parsed or declares malformed data."""

@@ -179,8 +179,20 @@ class DetectionClaim:
         residual = max(
             check.commutator_defect, check.state_equal_defect, check.discord_10, check.discord_01
         )
+        # A failing line names each judged value over the gate (a passing one
+        # has none); a non-commuting pair has no joint outcomes to be discordant.
+        judged = {"commutator [T,E]": check.commutator_defect}
+        if check.commutes:
+            judged = {
+                "state defect (E-T).rho": check.state_equal_defect,
+                "Tr(rho.T.E')": check.discord_10,
+                "Tr(rho.T'.E)": check.discord_01,
+            }
+        gate = tol.gate(scn.dim)
+        over = [f"{what} = {v:.3e} > gate {gate:.3e}" for what, v in judged.items() if v > gate]
+        detail = "; ".join(over) or check.note
         name = f"detection:{self.t}->{self.e}"
-        return CheckResult(name, check.holds, residual, "claim:detect", check.note)
+        return CheckResult(name, check.holds, residual, "claim:detect", detail)
 
 
 @dataclass(frozen=True)
@@ -202,7 +214,27 @@ class ConstraintClaim:
         return CheckResult(name, passed, float(count), "claim:constraints", detail)
 
 
-_CLAIM_KINDS = {cls.kind: cls for cls in (CommutationClaim, DetectionClaim, ConstraintClaim)}
+@dataclass(frozen=True)
+class SumRuleClaim:
+    e: str
+    f: str
+
+    kind = "sum-rule"
+
+    def judge(self, scn: Scenario, tol: Tolerance, product) -> CheckResult:
+        probs = assignment_probs(scn.observable(self.e), scn.observable(self.f), scn.state, tol)
+        passed = probs.c3_residual <= tol.gate(scn.dim)
+        detail = (
+            f"p(E&F)={probs.p_e_and_f!r} p(E'&F)={probs.p_eprime_and_f!r} "
+            f"Tr(rho.F)={probs.tr_rho_f!r}"
+        )
+        name = f"sum-rule:{self.e}~{self.f}"
+        return CheckResult(name, passed, probs.c3_residual, "claim:sum-rule", detail)
+
+
+_CLAIM_KINDS = {
+    cls.kind: cls for cls in (CommutationClaim, DetectionClaim, ConstraintClaim, SumRuleClaim)
+}
 Claim = Union[tuple(_CLAIM_KINDS.values())]
 
 
@@ -234,11 +266,8 @@ class Scenario:
         # Every string field of a claim names an observable.
         claims = self.declared_claims
         referenced = {getattr(c, f.name) for c in claims for f in fields(c) if f.type == "str"}
-        missing = sorted(referenced - set(self.observables))
-        if missing:
-            raise UnknownObservableError(
-                f"claims reference undeclared observables: {', '.join(missing)}"
-            )
+        for name in sorted(referenced):
+            self.observable(name)
         # Own copies (the caller may edit its dict or list later); claims compare as a tuple.
         object.__setattr__(self, "observables", dict(self.observables))
         object.__setattr__(self, "declared_claims", tuple(self.declared_claims))
@@ -801,6 +830,8 @@ def load_scenario(path, tol: Tolerance = DEFAULT_TOL) -> Scenario:
         raise ScenarioFormatError("observables must be a name->matrix object")
     observables = {}
     for key, rows in obs_doc.items():
+        if not key:
+            raise ScenarioFormatError("observables: an observable name must not be empty")
         matrix = CMatrix(_decode(rows, dim, f"observables[{key}]", 2))
         observables[str(key)] = Projection(matrix, name=str(key), tol=tol)
 

@@ -310,6 +310,22 @@ def test_cz_property_check_on_scenario(ghsz):
     )
 
 
+def test_cz_property_check_forms_rho_e_once(ghsz, monkeypatch):
+    # The sample of test_cz_property_check_on_scenario: 4 commutation checks
+    # against T, rho.E, then one X.F per conditional (I, the orthogonal pair
+    # F, F' and its sum, and G_alpha <= E), 6 pair products and 4 E.F.
+    sample = [
+        ghsz.observable("F"),
+        complement(ghsz.observable("F")),
+        ghsz.observable("L_alpha"),
+        ghsz.observable("G_alpha"),
+    ]
+    t, e = ghsz.observable("M"), ghsz.observable("G_alpha")
+    products = count_products(monkeypatch)
+    assert cz_property_check(t, e, ghsz.state, sample)
+    assert len(products) == 4 + 1 + 5 + 6 + 4
+
+
 def test_cz_property_check_preconditions(ghsz):
     with pytest.raises(PreconditionError):
         cz_property_check(

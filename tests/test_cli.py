@@ -4,27 +4,32 @@ import math
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import qdetect.assignment
 import qdetect.cli
 import qdetect.detection
 import qdetect.ensemble
+import qdetect.scenarios
 from qdetect import (
     CMatrix,
     DEFAULT_TOL,
     DensityOperator,
+    DetectionClaim,
     Projection,
     Scenario,
     build_example_44,
+    check_C3,
     joint_distribution,
+    load_scenario,
     save_scenario,
+    verify_scenario,
 )
 from qdetect.cli import main
 
-from support import count_commutation_checks, count_products, planted_discordance
+from support import count_commutation_checks, count_products, pair_library, planted_discordance
 
 
 def test_ghsz_text_output(capsys):
@@ -60,57 +65,82 @@ def test_ghsz_csv_output(capsys):
 
 
 def test_detect_pass(ghsz_file, capsys):
+    # One detection line, then the simulation lines of the three other
+    # observables that commute with both.
     assert main(["detect", ghsz_file, "M", "G_alpha"]) == 0
     out = capsys.readouterr().out
-    assert "[PASS] detection-holds" in out
-    assert "probability-route-agrees" not in out
-    assert "complement-lemma" not in out
+    assert "\n[PASS] detection:M->G_alpha  residual=0.000e+00\n" in out
     for name in ("E_alpha", "F", "L_alpha"):
         assert f"[PASS] simulation:{name}" in out
-    assert "summary: 8 passed, 0 failed" in out
+    assert "summary: 4 passed, 0 failed" in out
 
 
 def test_detect_fail_is_exit_one(ghsz_file, capsys):
+    # F and G_alpha act on different qubits: they commute, but the state
+    # defect and both discordances are 1/4.
+    gate = DEFAULT_TOL.gate(16)
     assert main(["detect", ghsz_file, "F", "G_alpha"]) == 1
     out = capsys.readouterr().out
-    assert "[FAIL] detection-holds" in out
-    assert "probability-route-agrees" not in out
+    line = "[FAIL] detection:F->G_alpha  residual=2.500e-01  "
+    assert f"{line}(state defect (E-T).rho = 2.500e-01 > gate {gate:.3e};" in out
     assert "simulation:" not in out
+    assert "summary: 0 passed, 1 failed" in out
 
 
 def test_detect_discordance_alone_fails_the_report(tmp_path, capsys):
     # The state defect max|(E - T).rho| is the discordant weight times the
     # largest squared entry of one Haar vector, well below that weight: at
-    # 5 gates of discordance the state-equality line passes, while the
-    # discordance line fails and so does the verdict, which judges both.
+    # 5 gates of discordance the state defect is within the gate, while the
+    # discordance Tr(rho.T'.E) is not, and the detection line judges both.
     dim = 64
     gate = DEFAULT_TOL.gate(dim)
     t, e, rho = planted_discordance(np.random.default_rng(3), dim, 5.0)
     path = tmp_path / "discordant.json"
     save_scenario(Scenario("discordant", dim, rho, {"T": t, "E": e}), path)
     assert main(["detect", str(path), "T", "E", "--output", "json"]) == 1
-    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert checks["state-equality"]["pass"]
-    assert checks["state-equality"]["residual"] < gate / 2
-    assert not checks["detection-holds"]["pass"]
-    assert checks["discordance-10"]["pass"]
-    assert not checks["discordance-01"]["pass"]
-    assert checks["discordance-01"]["residual"] == pytest.approx(5.0 * gate, rel=1e-6)
-    assert "probability-route-agrees" not in checks
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["name"] == "detection:T->E"
+    assert not check["pass"]
+    assert check["residual"] == pytest.approx(5.0 * gate, rel=1e-6)
+    assert check["detail"] == f"Tr(rho.T'.E) = {check['residual']:.3e} > gate {gate:.3e}"
 
 
 def test_detect_non_commuting_pair(ghsz_file, capsys):
-    assert main(["detect", ghsz_file, "E_alpha", "E_beta"]) == 1
-    out = capsys.readouterr().out
-    assert "[FAIL] commutation" in out
-    assert "discordance-10" not in out
+    # Without commutation there are no joint outcomes: only the commutator
+    # is named.
+    assert main(["detect", ghsz_file, "E_alpha", "E_beta", "--output", "json"]) == 1
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert not check["pass"]
+    assert check["detail"] == f"commutator [T,E] = 5.000e-01 > gate {DEFAULT_TOL.gate(16):.3e}"
 
 
 def test_detect_unknown_observable(ghsz_file, capsys):
-    assert main(["detect", ghsz_file, "Bogus", "F"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "Bogus" in err
+    # The message as written, not quoted as a KeyError's would be.
+    declared = "E_alpha, E_beta, F, G_alpha, G_beta, L_alpha, L_beta, M, N, R, S"
+    for args in (["detect", ghsz_file, "Bogus", "F"], ["c3", ghsz_file, "E_alpha", "Bogus"]):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: no observable named 'Bogus'; scenario declares: {declared}\n"
+
+
+def test_detect_and_c3_are_one_claim_lines(tmp_path, capsys):
+    # detect's line is verify_scenario's line for the same detection claim,
+    # and its exit code follows that line (F commutes with neither T nor E,
+    # so there are no simulation lines); c3's verdict is check_C3's.
+    for i, (t, e, f, rho) in enumerate(
+        pair_library(np.random.default_rng(127), dims=(2, 3, 4, 7, 16, 33, 64))
+    ):
+        path = tmp_path / f"pair{i}.json"
+        save_scenario(Scenario(f"pair{i}", t.dim, rho, {"T": t, "E": e, "F": f}), path)
+        scn = load_scenario(path)
+        want = verify_scenario(replace(scn, declared_claims=[DetectionClaim("T", "E")]))
+        code = main(["detect", str(path), "T", "E", "--output", "json"])
+        assert json.loads(capsys.readouterr().out)["checks"] == [want.checks[0].to_dict()]
+        assert code == want.exit_code
+        code = main(["c3", str(path), "E", "F", "--output", "json"])
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        holds = check_C3(scn.observable("E"), scn.observable("F"), scn.state)
+        assert check["pass"] == holds and code == (0 if holds else 1)
 
 
 def test_missing_scenario_file(tmp_path, capsys):
@@ -166,19 +196,19 @@ def test_oversize_integer_is_input_error(tmp_path, capsys, digits):
 
 
 def test_detect_runs_detects_once(ghsz_file, monkeypatch, capsys):
-    # cmd_detect's own check; the simulation-equality precondition is read
-    # off it.
+    # The detection claim's one check; the simulation-equality precondition
+    # is read off its line.
     calls = []
-    original = qdetect.detection.detects
+    original = qdetect.detection._detects
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(1)
-        return original(*args, **kwargs)
+        return original(*args)
 
-    for module in (qdetect.cli, qdetect.detection, qdetect.assignment):
-        monkeypatch.setattr(module, "detects", counting)
+    for module in (qdetect.scenarios, qdetect.detection):
+        monkeypatch.setattr(module, "_detects", counting)
     assert main(["detect", ghsz_file, "M", "G_alpha"]) == 0
-    assert "[PASS] detection-holds" in capsys.readouterr().out
+    assert "[PASS] detection:M->G_alpha" in capsys.readouterr().out
     assert len(calls) == 1
 
 
@@ -283,7 +313,7 @@ def test_c3_commuting_pair(ghsz_file, capsys):
     # residual, so the sum rule is the one line.
     assert main(["c3", ghsz_file, "G_alpha", "F"]) == 0
     out = capsys.readouterr().out
-    assert "[PASS] sum-rule" in out
+    assert "[PASS] sum-rule:G_alpha~F" in out
     assert "extension" not in out
     assert "summary: 1 passed, 0 failed" in out
 
@@ -313,7 +343,7 @@ def test_c3_non_commuting_pair(tmp_path, capsys):
     save_scenario(build_example_44(math.pi / 6.0), path)
     assert main(["c3", str(path), "E", "F"]) == 0
     out = capsys.readouterr().out
-    assert "[PASS] sum-rule" in out
+    assert "[PASS] sum-rule:E~F" in out
     assert "extension" not in out
 
 
@@ -489,8 +519,8 @@ def test_simulate_clamps_atom_between_minus_gate_and_minus_eig_cut(tmp_path, cap
     [
         (["ghsz"], "99758e3e27fe357d4f964fa1acbc17e3104d1a1acc8a50a898a573312db40af8"),
         (["example44"], "e2135a49239fbd16f5a6f088101d1ec42afad5e5716cc88e3c63834acf2fa845"),
-        (["detect", "M", "G_alpha"], "2631e720921477ebf2386ae45ec35915fd3e29d03ad8a519ef50e6003b245997"),
-        (["c3", "E_alpha", "E_beta"], "0a965a10f502de1c38aec27a6361b381e6893836383cfc456ccb1d706c5626b7"),
+        (["detect", "M", "G_alpha"], "3ed28baed7dc654e1c0f23501864c39ee138672fe6f85843aeae488cb1d685d2"),
+        (["c3", "E_alpha", "E_beta"], "c890ef7f8c9dc87aa8460c22f46a437087a575b156e7109cfe0ead70520e59a4"),
     ],
     ids=["ghsz", "example44", "detect", "c3"],
 )
@@ -501,6 +531,21 @@ def test_json_report_bytes_are_pinned(ghsz_file, capsys, args, digest):
     main(args + ["--output", "json"])
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_simulate_refuses_empty_observable_name(ghsz_file, tmp_path, capsys):
+    # An empty name would be replaced by an invented one in the CSV header.
+    with open(ghsz_file, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["observables"][""] = doc["observables"].pop("M")
+    doc["claims"].append({"kind": "detect", "t": "", "e": "G_alpha"})
+    path = tmp_path / "unnamed.json"
+    path.write_text(json.dumps(doc))
+    csv_path = tmp_path / "x.csv"
+    assert main(["simulate", str(path), "", "G_alpha", "--csv-out", str(csv_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: observables: an observable name must not be empty\n"
+    assert not csv_path.exists()
 
 
 def test_simulate_refuses_non_commuting_family(ghsz_file, tmp_path, capsys):
