@@ -24,6 +24,7 @@ from .errors import (
 from .numerics import (
     CMatrix,
     DEFAULT_TOL,
+    EIG_CUT,
     MAX_DIM,
     Tolerance,
     dist,

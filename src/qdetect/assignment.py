@@ -28,7 +28,7 @@ from .errors import (
     UndefinedConditionalError,
     ValidationError,
 )
-from .numerics import CMatrix, DEFAULT_TOL, Tolerance, dist, eigh, identity, max_abs
+from .numerics import CMatrix, DEFAULT_TOL, EIG_CUT, Tolerance, dist, eigh, identity, max_abs
 from .observables import (
     DensityOperator,
     Projection,
@@ -337,7 +337,7 @@ class JointDistribution:
 
     `probs` is a read-only float64 array indexed by outcome code: probs[c] is
     the probability of the outcome vector outcome_bits(n)[c]. Atoms whose raw
-    probability is at most eig_cut are clamped to exactly zero and the rest
+    probability is at most EIG_CUT are clamped to exactly zero and the rest
     renormalized; `renormalization` records the divisor (1.0 when nothing
     was clamped). The constructor copies `probs` and raises ValidationError
     unless the family has at most MAX_FAMILY names and `probs` holds 2^n
@@ -403,16 +403,14 @@ def joint_distribution(
             f"family of {n} observables would need 2^{n} atoms; the limit is {MAX_FAMILY}"
         )
     dim = rho.dim
-    for p in observables:
+    for i, p in enumerate(observables):
         if p.dim != dim:
-            raise DimensionError(
-                f"dimension mismatch: {p.name or '?'}={p.dim}, rho={dim}"
-            )
+            raise DimensionError(f"dimension mismatch: {p.name or '?'}={p.dim}, rho={dim}")
+        if not p.name:
+            raise ValidationError(f"observable {i} of the family has no name")
     gate = tol.gate(dim)
     bound = gate * 2**n
-    names = tuple(
-        p.name if p.name else f"obs{i}" for i, p in enumerate(observables)
-    )
+    names = tuple(p.name for p in observables)
     if len(set(names)) != len(names):
         raise ValidationError(f"observable names must be unique, got {names}")
     mats = [p.matrix for p in observables]
@@ -444,9 +442,9 @@ def joint_distribution(
     if abs(total - 1.0) > bound:
         raise LemmaViolationError(f"joint atoms sum to {total!r}, not 1")
 
-    # Above dim 100 the gate exceeds eig_cut, so an atom in [-gate, -eig_cut)
-    # gets here; it is clamped like every other atom at or below eig_cut.
-    clamped = np.where(re <= tol.eig_cut, 0.0, re)
+    # Above dim 100 the gate exceeds EIG_CUT, so an atom in [-gate, -EIG_CUT)
+    # gets here; it is clamped like every other atom at or below EIG_CUT.
+    clamped = np.where(re <= EIG_CUT, 0.0, re)
     mass = float(clamped.sum())
     if mass <= 0.0:
         raise LemmaViolationError("all joint atoms were clamped to zero")

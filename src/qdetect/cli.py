@@ -26,7 +26,7 @@ from .ensemble import (
     check_request, check_support_statements, check_z, detection_frequency_audit, sample_ensemble
 )
 from .errors import ToolkitError
-from .numerics import DEFAULT_TOL, Tolerance
+from .numerics import DEFAULT_TOL, EIG_CUT, Tolerance
 from .observables import commutes
 from .reporting import Report
 from .scenarios import (
@@ -131,12 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="absolute tolerance floor (default %(default)g)",
     )
     common.add_argument(
-        "--eig-cut",
-        type=float,
-        default=DEFAULT_TOL.eig_cut,
-        help="eigenvalue cutoff for kernel projectors (default %(default)g)",
-    )
-    common.add_argument(
         "--output",
         choices=("json", "csv", "text"),
         default="text",
@@ -222,7 +216,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        tol = Tolerance(atol=args.tol, eig_cut=args.eig_cut)
+        tol = Tolerance(atol=args.tol)
         # The filters stay the user's; only the display drops the source line.
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
@@ -231,7 +225,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # An OSError is a path the user named that cannot be read or written.
         print(f"error: {err}", file=sys.stderr)
         return 2
-    report.inputs.update({"tol": tol.atol, "eig_cut": tol.eig_cut})
+    report.inputs.update({"tol": tol.atol, "eig_cut": EIG_CUT})
     rendered = {
         "json": report.to_json,
         "csv": report.to_csv_text,

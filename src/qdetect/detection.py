@@ -21,7 +21,7 @@ from .errors import (
     LemmaViolationError,
     PreconditionError,
 )
-from .numerics import CMatrix, DEFAULT_TOL, Tolerance, eigh, hermiticity_defect, max_abs
+from .numerics import CMatrix, DEFAULT_TOL, EIG_CUT, Tolerance, eigh, hermiticity_defect, max_abs
 from .observables import (
     DensityOperator,
     Projection,
@@ -212,9 +212,9 @@ def rank_one_detector(
     if e.dim != f.dim:
         raise DimensionError(f"dimension mismatch: {e.dim} vs {f.dim}")
     w, v = eigh(e.matrix + f.matrix, tol)
-    top = np.flatnonzero(w >= 2.0 - tol.eig_cut)
+    top = np.flatnonzero(w >= 2.0 - EIG_CUT)
     if top.size == 0:
         return None
     psi = v[:, int(top[-1])]
     name = f"[{e.name}&{f.name}]" if e.name and f.name else "rank-one detector"
-    return _eigh_projector(np.outer(psi, psi.conj()), name, tol)
+    return _eigh_projector(np.outer(psi, psi.conj()), name)

@@ -47,4 +47,4 @@ class UnknownObservableError(ToolkitError, KeyError):
 
 
 class ScenarioFormatError(ToolkitError, ValueError):
-    """A scenario file could not be parsed or declares malformed data."""
+    """A scenario file could not be parsed, or a scenario declares malformed data."""

@@ -1,7 +1,7 @@
 """Dense complex linear algebra primitives.
 
 Thin, validating layer over numpy: an immutable square-matrix type, a shared
-tolerance policy, and the handful of operations the rest of the toolkit is
+comparison floor, and the handful of operations the rest of the toolkit is
 allowed to use (tensor products, Hermitian eigendecomposition, kernel
 projectors). Dimensions are capped so a typo cannot allocate gigabytes.
 """
@@ -18,25 +18,23 @@ from .errors import DimensionError, PreconditionError, ValidationError
 # Largest dimension of any matrix. Desk scale, not HPC scale.
 MAX_DIM = 4096
 
+# Eigenvalues within this of a target count as equal to it: zero for kernel
+# projectors and joint atoms, 2 for a rank-one detector's top cluster.
+EIG_CUT = 1e-8
+
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical tolerance policy used throughout the toolkit.
-
-    atol is the absolute comparison floor for matrix entries and traces;
-    eig_cut decides which eigenvalues count as zero when building kernel
-    projectors. Thresholds for dimension-dependent comparisons come from
-    gate(), which scales atol linearly with the dimension.
+    """The one numerical setting: atol, the absolute comparison floor for
+    matrix entries and traces. Thresholds for dimension-dependent comparisons
+    come from gate(), which scales atol linearly with the dimension.
     """
 
     atol: float = 1e-10
-    eig_cut: float = 1e-8
 
     def __post_init__(self) -> None:
         if not (0.0 < self.atol < 1.0):
             raise ValidationError(f"atol must lie in (0, 1), got {self.atol}")
-        if not (0.0 < self.eig_cut < 1.0):
-            raise ValidationError(f"eig_cut must lie in (0, 1), got {self.eig_cut}")
 
     def gate(self, dim: int) -> float:
         """Comparison threshold for a dim-dimensional quantity."""
@@ -221,11 +219,11 @@ def eigh(a: CMatrix, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
 def kernel_projector(a: CMatrix, tol: Tolerance = DEFAULT_TOL) -> CMatrix:
     """Orthogonal projector onto the kernel of a Hermitian matrix.
 
-    Eigenvalues with |value| <= eig_cut are treated as zero. An invertible
+    Eigenvalues with |value| <= EIG_CUT are treated as zero. An invertible
     input yields the zero matrix; the zero matrix yields the identity.
     """
     w, v = eigh(a, tol)
-    cols = v[:, np.abs(w) <= tol.eig_cut]
+    cols = v[:, np.abs(w) <= EIG_CUT]
     if cols.shape[1] == 0:
         return zeros(a.dim)
     return CMatrix(cols @ cols.conj().T)

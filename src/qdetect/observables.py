@@ -11,7 +11,7 @@ back into a projection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -68,10 +68,10 @@ class Projection:
 
     matrix: CMatrix
     name: str = ""
-    tol: Tolerance = field(default=DEFAULT_TOL, compare=False)
+    tol: InitVar[Tolerance] = DEFAULT_TOL  # sets the gate; not stored
 
-    def __post_init__(self) -> None:
-        gate = self.tol.gate(self.matrix.dim)
+    def __post_init__(self, tol: Tolerance) -> None:
+        gate = tol.gate(self.matrix.dim)
         herm = _store_hermitian_part(self, gate)
         idem = dist(self.matrix @ self.matrix, self.matrix)
         problems = []
@@ -88,10 +88,10 @@ class Projection:
         return self.matrix.dim
 
     @classmethod
-    def _trusted(cls, matrix: CMatrix, name: str, tol: Tolerance) -> "Projection":
+    def _trusted(cls, matrix: CMatrix, name: str) -> "Projection":
         """A projection valid by construction; skips the O(d^3) validation."""
         p = object.__new__(cls)
-        p.__dict__.update(matrix=matrix, name=name, tol=tol)
+        p.__dict__.update(matrix=matrix, name=name)
         return p
 
     def rank(self) -> int:
@@ -139,15 +139,15 @@ class DensityOperator:
 
     matrix: CMatrix
     name: str = ""
-    tol: Tolerance = field(default=DEFAULT_TOL, compare=False)
+    tol: InitVar[Tolerance] = DEFAULT_TOL  # sets the gate; not stored
     # The read-only unit vector of a state built by `pure`; None otherwise.
     vector: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self._validate(check_psd=True)
+    def __post_init__(self, tol: Tolerance) -> None:
+        self._validate(tol)
 
-    def _validate(self, check_psd: bool) -> None:
-        gate = self.tol.gate(self.matrix.dim)
+    def _validate(self, tol: Tolerance) -> None:
+        gate = tol.gate(self.matrix.dim)
         problems = []
         herm = _store_hermitian_part(self, gate)
         if herm > gate:
@@ -155,7 +155,8 @@ class DensityOperator:
         tr_defect = abs(trace(self.matrix) - 1.0)
         if tr_defect > gate:
             problems.append(f"trace defect {tr_defect:.3e}")
-        if check_psd and herm <= gate:
+        # |v><v| is positive semidefinite for every v, so `pure` skips this.
+        if self.vector is None and herm <= gate:
             lo = float(np.min(np.linalg.eigvalsh(self.matrix.array)))
             if lo < -gate:
                 problems.append(f"negative eigenvalue {lo:.3e}")
@@ -182,8 +183,8 @@ class DensityOperator:
         """
         unit = _unit_vector(vector)
         rho = object.__new__(cls)
-        rho.__dict__.update(matrix=outer(unit), name=name, tol=tol, vector=unit)
-        rho._validate(check_psd=False)
+        rho.__dict__.update(matrix=outer(unit), name=name, vector=unit)
+        rho._validate(tol)
         return rho
 
     def __repr__(self) -> str:
@@ -191,12 +192,17 @@ class DensityOperator:
         return f"DensityOperator({label}, dim={self.dim})"
 
 
+# Each `tol` default stays with its __init__; as a class attribute it would
+# read as the tolerance an instance was validated with.
+del Projection.tol, DensityOperator.tol
+
+
 def complement(p: Projection) -> Projection:
     """The negation 1 - P of a property; it inherits the defects of P."""
     name = f"{p.name}'" if p.name else ""
     m = np.eye(p.dim, dtype=np.complex128)
     m -= p.matrix.array  # finite because P is
-    return Projection._trusted(CMatrix._trusted(m), name=name, tol=p.tol)
+    return Projection._trusted(CMatrix._trusted(m), name=name)
 
 
 def commutator_defect(a: CMatrix, b: CMatrix) -> float:
@@ -277,16 +283,16 @@ def commutation_projection(
     name = ""
     if a.name and b.name:
         name = f"C({a.name},{b.name})"
-    return _eigh_projector(kernel_projector(c, tol).array, name, tol)
+    return _eigh_projector(kernel_projector(c, tol).array, name)
 
 
-def _eigh_projector(k: np.ndarray, name: str, tol: Tolerance) -> Projection:
+def _eigh_projector(k: np.ndarray, name: str) -> Projection:
     """The projection k, built from eigh's orthonormal columns, unvalidated.
 
     Such a projector needs no idempotency check (a d^3 product), and its
     Hermiticity defect is rounding: it is stored as validation stores it.
     """
-    p = Projection._trusted(CMatrix._trusted(k), name=name, tol=tol)
+    p = Projection._trusted(CMatrix._trusted(k), name=name)
     _store_hermitian_part(p, math.inf)
     return p
 

@@ -254,11 +254,18 @@ class Scenario:
     declared_claims: tuple[Claim, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ScenarioFormatError(f"name: expected a string, got {self.name!r}")
+        _check_dim(self.dim)
         if self.state.dim != self.dim:
             raise DimensionError(
                 f"state dimension {self.state.dim} does not match scenario dim {self.dim}"
             )
         for key, p in self.observables.items():
+            if not isinstance(key, str):
+                raise ScenarioFormatError(f"observables: a name must be a string, got {key!r}")
+            if not key:
+                raise ScenarioFormatError("observables: an observable name must not be empty")
             if p.dim != self.dim:
                 raise DimensionError(
                     f"observable {key!r} has dimension {p.dim}, expected {self.dim}"
@@ -306,6 +313,14 @@ class Scenario:
             f"Scenario({self.name!r}, dim={self.dim}, "
             f"observables={sorted(self.observables)})"
         )
+
+
+def _check_dim(dim) -> None:
+    """Raise unless dim is a positive int (not a bool) within MAX_DIM."""
+    if type(dim) is not int or dim < 1:
+        raise ScenarioFormatError(f"dim must be a positive integer, got {dim!r}")
+    if dim > MAX_DIM:
+        raise DimensionError(f"dim {dim} exceeds the {MAX_DIM} limit")
 
 
 # Single-qubit blocks: projectors onto (|0>+|1>)/sqrt(2) and (|0>+i|1>)/sqrt(2).
@@ -692,22 +707,17 @@ def _floats(doc, shape: tuple[int, ...]) -> Optional[np.ndarray]:
 
 
 def _decode(doc, dim: int, where: str, ndim: int) -> np.ndarray:
-    """The complex vector (ndim 1) or square matrix (ndim 2) written in doc,
-    the parsed pairs or the float array _parse made of them.
+    """The complex vector (ndim 1) or square matrix (ndim 2) written in doc.
 
-    Leaves must be JSON ints or floats in the float range. ScenarioFormatError
-    names the first bad row or entry; DimensionError means a well-formed array
-    (an empty vector, but not an empty matrix) whose size is not dim.
+    _parse makes a float array of each well-formed array, so a list is empty
+    or has a fault: ScenarioFormatError names its first bad row or entry.
+    DimensionError means a well-formed array (an empty vector, but not an
+    empty matrix) whose size is not dim.
     """
     if not isinstance(doc, (list, np.ndarray)) or (ndim == 2 and len(doc) == 0):
         raise ScenarioFormatError(f"{where}: expected a nested array of [re, im] pairs")
     n = len(doc)
-    shape = (n,) * ndim + (2,)
-    if isinstance(doc, np.ndarray):
-        values = doc
-    else:
-        values = _floats(doc, shape) if n else np.empty(shape)
-    if values is None:  # find the first fault, in row-major order
+    if isinstance(doc, list):  # find the first fault, in row-major order
         for i, row in enumerate(doc if ndim == 2 else [doc]):
             if ndim == 2 and (not isinstance(row, list) or len(row) != n):
                 raise ScenarioFormatError(f"{where}: row {i} is not square")
@@ -719,7 +729,7 @@ def _decode(doc, dim: int, where: str, ndim: int) -> np.ndarray:
                     )
     if n != dim:
         raise DimensionError(f"{where}: size {n} does not match scenario dim {dim}")
-    return values.view(np.complex128)[..., 0]
+    return doc.view(np.complex128)[..., 0]
 
 
 # The JSON types of scenario fields, by the name error messages give them.
@@ -737,7 +747,7 @@ def _field(doc: dict, key: str, where: str, want: str, default=None):
 
     Anything else raises ScenarioFormatError naming the field after `where`.
     """
-    path = f"{where}.{key}" if where else key
+    path = f"{where}.{key}"
     if key not in doc:
         if default is None:
             raise ScenarioFormatError(f"{path}: missing required field")
@@ -804,12 +814,8 @@ def load_scenario(path, tol: Tolerance = DEFAULT_TOL) -> Scenario:
     for key in ("name", "dim", "state", "observables", "claims"):
         if key not in doc:
             raise ScenarioFormatError(f"scenario file missing required key {key!r}")
-    name = _field(doc, "name", "", "a string")
     dim = doc["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ScenarioFormatError(f"dim must be a positive integer, got {dim!r}")
-    if dim > MAX_DIM:
-        raise DimensionError(f"dim {dim} exceeds the {MAX_DIM} limit")
+    _check_dim(dim)  # before any array is sized against it
 
     state_doc = doc["state"]
     if not isinstance(state_doc, dict) or "type" not in state_doc:
@@ -830,20 +836,12 @@ def load_scenario(path, tol: Tolerance = DEFAULT_TOL) -> Scenario:
         raise ScenarioFormatError("observables must be a name->matrix object")
     observables = {}
     for key, rows in obs_doc.items():
-        if not key:
-            raise ScenarioFormatError("observables: an observable name must not be empty")
         matrix = CMatrix(_decode(rows, dim, f"observables[{key}]", 2))
-        observables[str(key)] = Projection(matrix, name=str(key), tol=tol)
+        observables[key] = Projection(matrix, name=key, tol=tol)
 
     claims_doc = doc["claims"]
     if not isinstance(claims_doc, list):
         raise ScenarioFormatError("claims must be an array")
     claims = [_parse_claim(entry, i) for i, entry in enumerate(claims_doc)]
 
-    return Scenario(
-        name=name,
-        dim=dim,
-        state=state,
-        observables=observables,
-        declared_claims=claims,
-    )
+    return Scenario(doc["name"], dim, state, observables, claims)

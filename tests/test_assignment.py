@@ -417,6 +417,15 @@ def test_joint_distribution_validations(rt):
         joint_distribution([Projection(CMatrix(np.eye(3)))], rho2)
 
 
+def test_joint_distribution_refuses_an_unnamed_member(ghsz, monkeypatch):
+    # Outcomes are keyed by name, so no name is invented for a member.
+    family = [ghsz.observable("E_alpha"), Projection(ghsz.observable("F").matrix)]
+    products = count_products(monkeypatch)
+    with pytest.raises(ValidationError, match="^observable 1 of the family has no name$"):
+        joint_distribution(family, ghsz.state)
+    assert products == []
+
+
 def test_joint_distribution_refuses_duplicate_names_before_any_product(ghsz, monkeypatch):
     family = [ghsz.observable(name) for name in ("E_alpha", "F", "E_alpha")]
     products = count_products(monkeypatch)
@@ -489,13 +498,13 @@ def test_joint_distribution_checks_pruned_prefixes():
     # A is a projection up to 4e-9 (trusted, so unvalidated): H = 2A + B has
     # the eigenvalue 3 + 8e-9, off its code by more than gate * 2^n = 8e-10.
     # Eigenvalues outside [0, 2^n) are no outcome codes either.
-    a = Projection._trusted(CMatrix(np.diag([1.0 + 4e-9, 1.0])), "A", DEFAULT_TOL)
+    a = Projection._trusted(CMatrix(np.diag([1.0 + 4e-9, 1.0])), "A")
     b = Projection(CMatrix(np.diag([1.0, 0.0])), name="B")
     rho = DensityOperator(CMatrix(0.5 * np.eye(2)))
     with pytest.raises(LemmaViolationError, match=r"eigenvalue 3\.000000008 .* no outcome code"):
         joint_distribution([a, b], rho)
     for diag in ([2.0, 0.0], [-1.0, 1.0]):
-        c = Projection._trusted(CMatrix(np.diag(diag)), "C", DEFAULT_TOL)
+        c = Projection._trusted(CMatrix(np.diag(diag)), "C")
         with pytest.raises(LemmaViolationError, match="no outcome code"):
             joint_distribution([c], rho)
 

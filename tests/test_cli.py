@@ -227,12 +227,25 @@ def test_bad_tolerance_is_input_error(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["ghsz", "detect", "example44", "c3", "simulate"])
+def test_tol_is_the_one_numerical_option(command, capsys):
+    # The eigenvalue cut is the constant EIG_CUT: no option sets it.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    assert "--tol" in help_text and "eig" not in help_text
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["ghsz", "--eig-cut", "1e-6"])
     assert exc.value.code == 2
 
 

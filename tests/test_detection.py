@@ -21,7 +21,7 @@ from qdetect import (
     refinement_check,
     verify_scenario,
 )
-from qdetect.numerics import DEFAULT_TOL, eigh, hermiticity_defect
+from qdetect.numerics import DEFAULT_TOL, EIG_CUT, eigh, hermiticity_defect
 from qdetect.observables import _rho_trace, commutator_defect
 
 from support import (
@@ -216,7 +216,7 @@ def test_rank_one_detector_trusts_its_eigh_projector(ghsz, rt, monkeypatch):
     pairs += [(ghsz.observable(a), ghsz.observable(b)) for a, b in (("E_alpha", "F"), ("M", "G_alpha"))]
     for e, f in pairs:
         w, v = eigh(e.matrix + f.matrix, DEFAULT_TOL)
-        psi = v[:, int(np.flatnonzero(w >= 2.0 - DEFAULT_TOL.eig_cut)[-1])]
+        psi = v[:, int(np.flatnonzero(w >= 2.0 - EIG_CUT)[-1])]
         want = Projection(CMatrix(np.outer(psi, psi.conj()))).matrix.array
         products = count_products(monkeypatch)
         got = rank_one_detector(e, f).matrix.array

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from qdetect import (
     trace,
     zeros,
 )
-from qdetect.numerics import MAX_DIM, hermiticity_defect
+from qdetect.numerics import EIG_CUT, MAX_DIM, hermiticity_defect
 
 from support import ghz_vector, tensor4, _P_PLUS, _I2
 
@@ -70,8 +71,10 @@ def test_tolerance_validation():
         Tolerance(atol=0.0)
     with pytest.raises(ValidationError):
         Tolerance(atol=2.0)
-    with pytest.raises(ValidationError):
-        Tolerance(eig_cut=-1e-8)
+    # The eigenvalue cut is the constant EIG_CUT, not a setting.
+    assert [f.name for f in dataclasses.fields(Tolerance)] == ["atol"]
+    with pytest.raises(TypeError):
+        Tolerance(eig_cut=1e-8)
 
 
 def test_tolerance_gate_scales_with_dimension():
@@ -221,7 +224,7 @@ def test_kernel_projector_annihilates_input():
         assert dist(k @ k, k) < 1e-10 * dim
         assert dist(k, CMatrix(k.array.conj().T)) < 1e-10 * dim
         scale = float(np.max(np.abs(a.array)))
-        assert dist(a @ k, zeros(dim)) <= 10 * tol.eig_cut * max(scale, 1.0)
+        assert dist(a @ k, zeros(dim)) <= 10 * EIG_CUT * max(scale, 1.0)
 
 
 def test_basis_vector_and_outer():

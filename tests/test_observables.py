@@ -9,6 +9,7 @@ from qdetect import (
     OrthogonalityError,
     PreconditionError,
     Projection,
+    Tolerance,
     ValidationError,
     commutation_projection,
     commutes,
@@ -62,6 +63,19 @@ def test_projection_reports_both_defects_at_once():
     assert "hermiticity" in message and "idempotency" in message
 
 
+def test_tolerance_validates_and_is_not_stored():
+    # A loose tolerance admits what the default refuses; no operator keeps it.
+    loose = Tolerance(atol=1e-4)
+    near = CMatrix(np.diag([1.0 + 1e-5, 0.0]))
+    with pytest.raises(ValidationError):
+        Projection(near)
+    p = Projection(near, name="P", tol=loose)
+    rho = DensityOperator(CMatrix(np.diag([0.5 + 1e-5, 0.5])), tol=loose)
+    pure = DensityOperator.pure([1.0, 0.0], tol=loose)
+    for op in (p, complement(p), commutation_projection(p, p, loose), rho, pure):
+        assert not hasattr(op, "tol")
+
+
 def test_projection_rank():
     assert Projection(CMatrix(np.diag([1.0, 1.0, 0.0]))).rank() == 2
 
@@ -110,12 +124,12 @@ def test_complement_is_not_revalidated(monkeypatch):
     # 1 - P inherits the defects of P, so complement skips validation.
     e = Projection(CMatrix(_P_PLUS), name="E")
 
-    def refuse(self):
+    def refuse(self, tol):
         raise AssertionError("complement re-validated its result")
 
     monkeypatch.setattr(Projection, "__post_init__", refuse)
     got = complement(e)
-    assert got.name == "E'" and got.tol is e.tol
+    assert got.name == "E'"
     assert np.array_equal(got.matrix.array, np.eye(2) - _P_PLUS)
     assert not got.matrix.array.flags.writeable
     assert complement(complement(e)).name == "E''"

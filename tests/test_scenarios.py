@@ -310,6 +310,33 @@ def test_scenario_validation():
         Scenario("x", 2, rho, {"E": e}, [DetectionClaim("E", "nope")])
 
 
+def test_scenario_refuses_what_load_scenario_refuses(tmp_path):
+    # Each of these used to build and save a file that load_scenario refused.
+    rho = DensityOperator.pure([1.0, 0.0])
+    e = Projection(CMatrix(np.diag([1.0, 0.0])), name="E")
+    empty = "observables: an observable name must not be empty"
+    with pytest.raises(ScenarioFormatError, match=f"^{empty}$"):
+        Scenario("x", 2, rho, {"": e}, [DetectionClaim("", "")])
+    with pytest.raises(ScenarioFormatError, match="^observables: a name must be a string, got 3$"):
+        Scenario("x", 2, rho, {3: e})
+    with pytest.raises(ScenarioFormatError, match="^name: expected a string, got 3$"):
+        Scenario(3, 2, rho, {"E": e})
+    for dim in (True, 0, -2, 2.0, "2", None):
+        with pytest.raises(ScenarioFormatError, match=r"^dim must be a positive integer, got "):
+            Scenario("x", dim, rho, {"E": e})
+    # The loader's messages are the constructor's.
+    save_scenario(Scenario("x", 2, rho, {"E": e}), tmp_path / "x.json")
+    good = json.loads((tmp_path / "x.json").read_text())
+    for key, value, message in (
+        ("observables", {"": good["observables"]["E"]}, empty),
+        ("name", 3, "name: expected a string, got 3"),
+        ("dim", True, "dim must be a positive integer, got True"),
+    ):
+        (tmp_path / "bad.json").write_text(json.dumps({**good, key: value}))
+        with pytest.raises(ScenarioFormatError, match=f"^{re.escape(message)}$"):
+            load_scenario(tmp_path / "bad.json")
+
+
 def test_unnormalized_vector_stands_for_its_normalized_projector(tmp_path):
     e = Projection(CMatrix(np.diag([1.0, 0.0])), name="E")
     with pytest.raises(ValidationError, match="nonzero"):
@@ -885,8 +912,10 @@ def test_decode_matches_per_entry_reference():
     rng = np.random.default_rng(404)
     for dim in (1, 2, 3, 8, 17):
         for ndim in (1, 2):
-            doc = _random_pair_doc(rng, (dim,) * ndim + (2,))
-            got = _decode(doc, dim, "m", ndim)
+            shape = (dim,) * ndim + (2,)
+            doc = _random_pair_doc(rng, shape)
+            # _decode takes the array _parse makes of a well-formed array.
+            got = _decode(_floats(doc, shape), dim, "m", ndim)
             want = reference_decode_pairs(doc, ndim)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
