@@ -51,7 +51,6 @@ from .detection import (
     DetectionCheck,
     complement_lemma_check,
     detects,
-    detects_via_probability,
     rank_one_detector,
     refinement_check,
 )
@@ -60,20 +59,19 @@ from .assignment import (
     JointDistribution,
     SimulationEquality,
     assignment_probs,
-    check_C1,
-    check_C2,
     check_C3,
     cond_prob,
-    cz_property_check,
-    detection_form_equality,
     joint_distribution,
     simulation_equalities,
 )
 from .scenarios import (
+    AdditivityClaim,
     CommutationClaim,
     ConstraintClaim,
     ConstraintSet,
+    CzClaim,
     DetectionClaim,
+    FormEqualityClaim,
     Scenario,
     SignEquation,
     SumRuleClaim,

@@ -3,19 +3,18 @@
 For a projection E and any projection F (commuting or not), the sandwich
 value Tr(rho.E.F.E) is the unique consistent probability for "E and F both
 hold". This module computes those assignment probabilities, the conditional
-probabilities they induce, the consistency conditions tying them together
-(extension of the commuting case, additivity over orthogonal families, and
-the complement sum rule), the simulation equalities that make a detector
-statistically indistinguishable from what it detects, and the joint-outcome
-atoms of commuting families, read off one Hermitian eigendecomposition, that
-serve as an independent oracle for all of the above.
+probabilities they induce, the complement sum rule, the simulation
+equalities that make a detector statistically indistinguishable from what it
+detects, and the joint-outcome atoms of commuting families, read off one
+Hermitian eigendecomposition, that serve as an independent oracle for all of
+the above. The paper's other statements about one state (additivity, the
+detection form equality and the conditional functional) are claim kinds of
+qdetect.scenarios.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import (
     UndefinedConditionalError,
     ValidationError,
 )
-from .numerics import CMatrix, DEFAULT_TOL, EIG_CUT, Tolerance, dist, eigh, identity, max_abs
+from .numerics import CMatrix, DEFAULT_TOL, EIG_CUT, Tolerance, eigh
 from .observables import (
     DensityOperator,
     Projection,
@@ -38,7 +37,6 @@ from .observables import (
     _require_pairwise_commuting,
     _rho_trace,
     complement,
-    orthogonal_sum,
 )
 from .detection import detects
 
@@ -210,44 +208,6 @@ def _simulation_equalities(
     return tuple(results)
 
 
-def check_C1(
-    e: Projection,
-    f: Projection,
-    rho: DensityOperator,
-    tol: Tolerance = DEFAULT_TOL,
-) -> bool:
-    """For commuting pairs the sandwich extends the plain joint trace.
-
-    Takes three dense products: the commutation check, X = rho.E and X.F;
-    Tr(rho.E.F) is read off X. The residual |Tr(rho.E.F.E) - Tr(rho.E.F)| is
-    half of assignment_probs' c3_residual, so for a commuting pair this
-    check and check_C3 judge one quantity against different gates.
-    """
-    gate = tol.gate(e.dim)
-    labels = [e.name or "E", f.name or "F"]
-    _require_pairwise_commuting(labels, [e.matrix, f.matrix], gate, CoMeasurabilityError)
-    x = rho.matrix @ e.matrix
-    sandwich = _sandwich(x, e.matrix, f.matrix, gate)
-    plain = _real_trace("Tr(rho.E.F)", gate, x, f.matrix)
-    return abs(sandwich - plain) <= gate
-
-
-def check_C2(
-    e: Projection,
-    f_family: Sequence[Projection],
-    rho: DensityOperator,
-    tol: Tolerance = DEFAULT_TOL,
-) -> bool:
-    """Additivity over an orthogonal family: p(E & sum F_j) = sum p(E & F_j)."""
-    if not f_family:
-        raise ValidationError("additivity check needs a nonempty family")
-    total = reduce(lambda a, b: orthogonal_sum(a, b, tol), f_family)
-    gate = tol.gate(e.dim) * max(1, len(f_family))
-    whole = assignment_probs(e, total, rho, tol).p_e_and_f
-    parts = sum(assignment_probs(e, f, rho, tol).p_e_and_f for f in f_family)
-    return abs(whole - parts) <= gate
-
-
 def check_C3(
     e: Projection,
     f: Projection,
@@ -256,68 +216,6 @@ def check_C3(
 ) -> bool:
     """Complement sum rule: Tr(rho.F) = p(E & F) + p(E' & F)."""
     return assignment_probs(e, f, rho, tol).c3_residual <= tol.gate(e.dim)
-
-
-def detection_form_equality(
-    t: Projection,
-    e: Projection,
-    f: Projection,
-    rho: DensityOperator,
-    tol: Tolerance = DEFAULT_TOL,
-) -> bool:
-    """Under detection, the sandwich against E equals the joint trace with T.
-
-    Asserts |Tr(rho.E.F.E) - Tr(rho.F.T)| <= gate for F commuting with T.
-    """
-    check = detects(t, e, rho, tol)
-    if not check.holds:
-        raise PreconditionError("the equality is only claimed under detection")
-    gate = tol.gate(t.dim)
-    _require_commute_with([f], gate, detector=t)
-    lhs = _sandwich(rho.matrix @ e.matrix, e.matrix, f.matrix, gate)
-    rhs = _real_trace("Tr(rho.F.T)", gate, rho.matrix, f.matrix, t.matrix)
-    return abs(lhs - rhs) <= gate
-
-
-def cz_property_check(
-    t: Projection,
-    e: Projection,
-    rho: DensityOperator,
-    sample_f: Sequence[Projection],
-    tol: Tolerance = DEFAULT_TOL,
-) -> bool:
-    """Defining properties of the conditional functional P(F|E).
-
-    With P(F|E) = Tr(rho.E.F.E) / Tr(rho.E), checks normalization P(I|E) = 1,
-    additivity over the orthogonal pairs found inside sample_f, and the ratio
-    form P(F|E) = Tr(rho.F)/Tr(rho.E) for members with F <= E. Every sampled
-    F must commute with the detector t.
-    """
-    gate = tol.gate(e.dim)
-    den = _real_trace("Tr(rho.E)", gate, rho.matrix, e.matrix)
-    if den <= gate:
-        raise PreconditionError(
-            f"conditional functional undefined: Tr(rho.E) = {den!r}"
-        )
-    _require_commute_with(sample_f, gate, detector=t)
-    x = rho.matrix @ e.matrix
-
-    def conditional(fm: CMatrix) -> float:
-        return _sandwich(x, e.matrix, fm, gate) / den
-
-    ok = abs(conditional(identity(e.dim)) - 1.0) <= gate
-    for fi, fj in combinations([f.matrix for f in sample_f], 2):
-        if max_abs((fi @ fj).array) > gate:
-            continue
-        joint = conditional(fi + fj)
-        ok = ok and abs(joint - conditional(fi) - conditional(fj)) <= gate
-    for f in sample_f:
-        # F <= E means E absorbs F on the left.
-        if dist(e.matrix @ f.matrix, f.matrix) > gate:
-            continue
-        ratio = _real_trace("Tr(rho.F)", gate, rho.matrix, f.matrix) / den
-        ok = ok and abs(conditional(f.matrix) - ratio) <= gate
-    return ok
 
 
 def outcome_bits(n: int) -> np.ndarray:

@@ -88,27 +88,17 @@ def cmd_simulate(args: argparse.Namespace, tol: Tolerance) -> Report:
     ens.to_csv(args.csv_out)
     report.command = "simulate"
     report.inputs.update(
-        {
-            "scenario": scn.name,
-            "family": list(args.family),
-            "samples": int(args.samples),
-            "workers": int(args.workers),
-            "csv": str(args.csv_out),
-        }
+        scenario=scn.name,
+        family=list(args.family),
+        samples=int(args.samples),
+        workers=int(args.workers),
+        csv=str(args.csv_out),
     )
     for claim in scn.declared_claims:
-        if not isinstance(claim, DetectionClaim):
-            continue
-        if claim.t not in args.family or claim.e not in args.family:
-            continue
-        discordant, concordant = detection_frequency_audit(claim.t, claim.e, ens)
-        report.add(
-            name=f"discordant:{claim.t}~{claim.e}",
-            passed=discordant == 0,
-            residual=float(discordant),
-            ref="support:detection",
-            detail=f"{concordant} concordant records",
-        )
+        if isinstance(claim, DetectionClaim) and {claim.t, claim.e} <= set(args.family):
+            discordant, concordant = detection_frequency_audit(claim.t, claim.e, ens)
+            name, detail = f"discordant:{claim.t}~{claim.e}", f"{concordant} concordant records"
+            report.add(name, discordant == 0, float(discordant), "support:detection", detail)
     return report
 
 

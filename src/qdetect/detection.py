@@ -2,10 +2,11 @@
 
 A projection T detects a projection E at the state rho when the two commute
 and E.rho = T.rho. Equivalently (for commuting pairs) the joint outcomes
-(1,0) and (0,1) both carry zero probability. This module implements both
-routes, the lemma that detection transfers to complements, the theorem that
-detection survives convex refinement of the state, and the constructive
-search for a rank-one detector shared by two non-commuting projections.
+(1,0) and (0,1) both carry zero probability. `detects` judges both routes
+in one test and reports the values of each. This module also implements the
+lemma that detection transfers to complements, the theorem that detection
+survives convex refinement of the state, and the constructive search for a
+rank-one detector shared by two non-commuting projections.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    CoMeasurabilityError,
     DimensionError,
     LemmaViolationError,
     PreconditionError,
@@ -121,26 +121,6 @@ def _detects(
         holds=holds,
         note=note,
     )
-
-
-def detects_via_probability(
-    t: Projection,
-    e: Projection,
-    rho: DensityOperator,
-    tol: Tolerance = DEFAULT_TOL,
-) -> bool:
-    """Probability-level detection test: both discordance traces vanish.
-
-    Only defined for commuting pairs, where the joint outcomes exist.
-    """
-    check = detects(t, e, rho, tol)
-    if not check.commutes:
-        raise CoMeasurabilityError(
-            "joint outcome probabilities are undefined for a non-commuting "
-            f"pair (commutator defect {check.commutator_defect:.3e})"
-        )
-    gate = tol.gate(t.dim)
-    return check.discord_10 <= gate and check.discord_01 <= gate
 
 
 def complement_lemma_check(

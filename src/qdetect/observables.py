@@ -39,6 +39,14 @@ from .numerics import (
 )
 
 
+def _gate(op, tol: Tolerance) -> float:
+    """The gate of op's matrix, which must be a CMatrix."""
+    if not isinstance(op.matrix, CMatrix):
+        got = type(op.matrix).__name__
+        raise ValidationError(f"{type(op).__name__} needs a CMatrix, got {got}: wrap it in CMatrix")
+    return tol.gate(op.matrix.dim)
+
+
 def _store_hermitian_part(op, gate: float) -> float:
     """Hermiticity defect of op.matrix; a defect within the gate is removed.
 
@@ -71,7 +79,7 @@ class Projection:
     tol: InitVar[Tolerance] = DEFAULT_TOL  # sets the gate; not stored
 
     def __post_init__(self, tol: Tolerance) -> None:
-        gate = tol.gate(self.matrix.dim)
+        gate = _gate(self, tol)
         herm = _store_hermitian_part(self, gate)
         idem = dist(self.matrix @ self.matrix, self.matrix)
         problems = []
@@ -147,7 +155,7 @@ class DensityOperator:
         self._validate(tol)
 
     def _validate(self, tol: Tolerance) -> None:
-        gate = tol.gate(self.matrix.dim)
+        gate = _gate(self, tol)
         problems = []
         herm = _store_hermitian_part(self, gate)
         if herm > gate:

@@ -38,10 +38,13 @@ from .errors import (
     UnknownObservableError,
     ValidationError,
 )
-from .numerics import CMatrix, DEFAULT_TOL, MAX_DIM, Tolerance, hermiticity_defect, kron, outer
-from .observables import DensityOperator, Projection, _unit_vector, derived_projection
+from .numerics import (
+    CMatrix, DEFAULT_TOL, MAX_DIM, Tolerance, dist, hermiticity_defect, identity, kron, max_abs,
+    outer,
+)
+from .observables import DensityOperator, Projection, _real_trace, _unit_vector, derived_projection
 from .detection import _detects
-from .assignment import assignment_probs
+from .assignment import _sandwich, assignment_probs
 from .reporting import CheckResult, Report
 
 # The seven outcome symbols of the sign-constraint system, in display order.
@@ -145,8 +148,10 @@ def _solution_count(cs: ConstraintSet) -> tuple[int, list[int]]:
 
 
 # A claim kind is one class and one _CLAIM_KINDS entry. Its fields are the
-# fields of its file entry (a ConstraintSet as symbols and equations), and
-# `judge` makes its report line from product(a, b), a memoized A.B.
+# fields of its file entry (a ConstraintSet as symbols and equations, a
+# tuple[str, ...] as an array of names), and `judge` makes its report line
+# from product(a, b), a memoized A.B. A claim whose precondition fails gives
+# a failing line that names the failure.
 
 
 @dataclass(frozen=True)
@@ -232,9 +237,125 @@ class SumRuleClaim:
         return CheckResult(name, passed, probs.c3_residual, "claim:sum-rule", detail)
 
 
-_CLAIM_KINDS = {
-    cls.kind: cls for cls in (CommutationClaim, DetectionClaim, ConstraintClaim, SumRuleClaim)
-}
+def _unmet_detection(scn: Scenario, tol: Tolerance, product, t: str, e: str, fs) -> Optional[tuple]:
+    """The value and account of the first unmet precondition of a claim made under
+    the detection of e by t about observables fs that commute with t, if any."""
+    detection = DetectionClaim(t, e).judge(scn, tol, product)
+    if not detection.passed:
+        return detection.residual, f"{detection.name} fails: {detection.detail}"
+    gate = tol.gate(scn.dim)
+    for f in fs:
+        defect = hermiticity_defect(product(f, t))
+        if defect > gate:
+            return defect, f"commutator [{f},{t}] = {defect:.3e} > gate {gate:.3e}"
+    return None
+
+
+@dataclass(frozen=True)
+class AdditivityClaim:
+    """p(E & F_1 + ... + F_k) = p(E & F_1) + ... + p(E & F_k), p(E & F) being
+    Tr(rho.E.F.E), for pairwise orthogonal F_j; E need commute with none."""
+
+    e: str
+    fs: tuple[str, ...]
+
+    kind = "additivity"
+
+    def judge(self, scn: Scenario, tol: Tolerance, product) -> CheckResult:
+        name = f"additivity:{self.e}~{'+'.join(self.fs)}"
+        gate = tol.gate(scn.dim)
+        for a, b in combinations(self.fs, 2):
+            overlap = max_abs(product(a, b).array)
+            if overlap > gate:
+                detail = f"overlap {a}.{b} = {overlap:.3e} > gate {gate:.3e}"
+                return CheckResult(name, False, overlap, "claim:additivity", detail)
+        e = scn.observable(self.e).matrix
+        x = scn.state.matrix @ e
+        mats = [scn.observable(f).matrix for f in self.fs]
+        parts = sum((_sandwich(x, e, m, gate) for m in mats), 0.0)
+        # A sum of orthogonal projections is a projection.
+        total = CMatrix._trusted(sum((m.array for m in mats), np.zeros_like(e.array)))
+        whole = _sandwich(x, e, total, gate)
+        residual = abs(whole - parts)
+        passed = residual <= gate * max(1, len(mats))
+        detail = f"p(E&sum F)={whole!r} sum p(E&F)={parts!r}"
+        return CheckResult(name, passed, residual, "claim:additivity", detail)
+
+
+@dataclass(frozen=True)
+class FormEqualityClaim:
+    """Under the detection of E by T, Tr(rho.E.F.E) = Tr(rho.F.T) for an F
+    that commutes with T."""
+
+    t: str
+    e: str
+    f: str
+
+    kind = "form-equality"
+
+    def judge(self, scn: Scenario, tol: Tolerance, product) -> CheckResult:
+        name = f"form-equality:{self.t}->{self.e}~{self.f}"
+        unmet = _unmet_detection(scn, tol, product, self.t, self.e, [self.f])
+        if unmet:
+            return CheckResult(name, False, unmet[0], "claim:form-equality", unmet[1])
+        gate = tol.gate(scn.dim)
+        rho, e = scn.state.matrix, scn.observable(self.e).matrix
+        sandwich = _sandwich(rho @ e, e, scn.observable(self.f).matrix, gate)
+        # Tr(F.T.rho) from the F.T the commutation check formed.
+        joint = _real_trace("Tr(rho.F.T)", gate, product(self.f, self.t), rho)
+        residual = abs(sandwich - joint)
+        detail = f"Tr(rho.E.F.E)={sandwich!r} Tr(rho.F.T)={joint!r}"
+        return CheckResult(name, residual <= gate, residual, "claim:form-equality", detail)
+
+
+@dataclass(frozen=True)
+class CzClaim:
+    """Under the detection of E by T, the conditional functional
+    P(F|E) = Tr(rho.E.F.E) / Tr(rho.E) on observables fs that commute with T
+    is a conditional probability: P(I|E) = 1, P(F+G|E) = P(F|E) + P(G|E) for
+    each orthogonal pair of fs, and P(F|E) = Tr(rho.F) / Tr(rho.E) for each
+    F <= E of fs."""
+
+    t: str
+    e: str
+    fs: tuple[str, ...]
+
+    kind = "cz"
+
+    def judge(self, scn: Scenario, tol: Tolerance, product) -> CheckResult:
+        name = f"cz:{self.t}->{self.e}~{','.join(self.fs)}"
+        unmet = _unmet_detection(scn, tol, product, self.t, self.e, self.fs)
+        gate = tol.gate(scn.dim)
+        rho, e = scn.state.matrix, scn.observable(self.e).matrix
+        den = _real_trace("Tr(rho.E)", gate, rho, e)
+        if not unmet and den <= gate:
+            unmet = den, f"Tr(rho.E) = {den:.3e} <= gate {gate:.3e}, so P(F|E) is undefined"
+        if unmet:
+            return CheckResult(name, False, unmet[0], "claim:cz", unmet[1])
+        x = rho @ e
+        mats = {f: scn.observable(f).matrix for f in self.fs}
+        p = {f: _sandwich(x, e, m, gate) / den for f, m in mats.items()}
+        off = {"P(I|E) = 1": abs(_sandwich(x, e, identity(scn.dim), gate) / den - 1.0)}
+        for a, b in combinations(mats, 2):
+            if max_abs(product(a, b).array) <= gate:
+                both = _sandwich(x, e, mats[a] + mats[b], gate) / den
+                off[f"P({a}+{b}|E) additive"] = abs(both - p[a] - p[b])
+        for f, m in mats.items():
+            if dist(product(self.e, f), m) <= gate:  # F <= E: E absorbs F
+                ratio = _real_trace("Tr(rho.F)", gate, rho, m) / den
+                off[f"P({f}|E) = Tr(rho.{f})/Tr(rho.E)"] = abs(p[f] - ratio)
+        over = [f"{what} off by {v:.3e} > gate {gate:.3e}" for what, v in off.items() if v > gate]
+        lines = over or ["holds: " + ", ".join(off)]
+        if p:
+            lines.append(" ".join(f"P({f}|E)={v!r}" for f, v in p.items()))
+        detail = "; ".join(lines)
+        return CheckResult(name, not over, max(off.values()), "claim:cz", detail)
+
+
+_CLAIM_KINDS = {cls.kind: cls for cls in (
+    CommutationClaim, DetectionClaim, ConstraintClaim, SumRuleClaim,
+    AdditivityClaim, FormEqualityClaim, CzClaim,
+)}
 Claim = Union[tuple(_CLAIM_KINDS.values())]
 
 
@@ -270,9 +391,18 @@ class Scenario:
                 raise DimensionError(
                     f"observable {key!r} has dimension {p.dim}, expected {self.dim}"
                 )
-        # Every string field of a claim names an observable.
-        claims = self.declared_claims
-        referenced = {getattr(c, f.name) for c in claims for f in fields(c) if f.type == "str"}
+        # Every string field of a claim names an observable, as does each
+        # entry of a list field.
+        referenced = set()
+        for c in self.declared_claims:
+            for f in fields(c):
+                if f.type == "str":
+                    referenced.add(getattr(c, f.name))
+                elif f.type == "tuple[str, ...]":
+                    names = getattr(c, f.name)
+                    if not isinstance(names, tuple):  # a list would not equal the loaded tuple
+                        raise ValidationError(f"{c.kind} claim: {f.name} is {names}, not a tuple")
+                    referenced.update(names)
         for name in sorted(referenced):
             self.observable(name)
         # Own copies (the caller may edit its dict or list later); claims compare as a tuple.
@@ -373,25 +503,8 @@ def build_ghsz() -> Scenario:
     claims.extend(DetectionClaim(t, e) for t, e in pairs)
     claims.append(ConstraintClaim(ghsz_sign_constraints(), satisfiable=False))
 
-    return Scenario(
-        name="ghsz",
-        dim=16,
-        state=rho0,
-        observables={
-            "E_alpha": e_alpha,
-            "E_beta": e_beta,
-            "F": f,
-            "G_alpha": g_alpha,
-            "G_beta": g_beta,
-            "L_alpha": l_alpha,
-            "L_beta": l_beta,
-            "M": m,
-            "N": n,
-            "R": r,
-            "S": s,
-        },
-        declared_claims=claims,
-    )
+    observables = (e_alpha, e_beta, f, g_alpha, g_beta, l_alpha, l_beta, m, n, r, s)
+    return Scenario("ghsz", 16, rho0, {p.name: p for p in observables}, claims)
 
 
 def verify_scenario(scn: Scenario, tol: Tolerance = DEFAULT_TOL) -> Report:
@@ -414,31 +527,22 @@ def verify_ghsz(scn: Scenario, tol: Tolerance = DEFAULT_TOL) -> Report:
     system must have no satisfying assignment; together these rule out
     identifying the detector outcomes with jointly assigned measured values.
     """
-    if not scn.declared_claims:
-        raise PreconditionError("scenario declares no claims to verify")
     if not any(isinstance(c, DetectionClaim) for c in scn.declared_claims):
         raise PreconditionError("scenario declares no detection claims")
     report = verify_scenario(scn, tol)
     report.command = "ghsz"
-    constraint_checks = [
-        c for c in report.checks if c.ref == "claim:constraints"
-    ]
+    constraint_checks = [c for c in report.checks if c.ref == "claim:constraints"]
     physics = [c for c in report.checks if c.ref != "claim:constraints"]
     no_go = (
         all(c.passed for c in physics)
         and len(constraint_checks) > 0
         and all(c.passed and c.residual == 0.0 for c in constraint_checks)
     )
-    report.add(
-        name="no-go:identification",
-        passed=no_go,
-        residual=None,
-        ref="conclusion",
-        detail=(
-            "detections hold but no joint sign assignment satisfies the "
-            "constraints; outcome identification is inconsistent"
-        ),
+    detail = (
+        "detections hold but no joint sign assignment satisfies the "
+        "constraints; outcome identification is inconsistent"
     )
+    report.add("no-go:identification", no_go, None, "conclusion", detail)
     return report
 
 
@@ -472,9 +576,7 @@ def _example_44(theta: float) -> Scenario:
     f = Projection(outer(_unit_vector([math.cos(theta), 1j * math.sin(theta)])), name="F")
     p1 = Projection(CMatrix([[1.0, 0.0], [0.0, 0.0]]), name="P1")
     p2 = Projection(CMatrix([[0.0, 0.0], [0.0, 1.0]]), name="P2")
-    mixture = DensityOperator(
-        CMatrix([[0.5, 0.0], [0.0, 0.5]]), name="mixture"
-    )
+    mixture = DensityOperator(CMatrix([[0.5, 0.0], [0.0, 0.5]]), name="mixture")
     return Scenario(
         name=f"example44-theta={theta!r}",
         dim=2,
@@ -493,56 +595,29 @@ def verify_example_44(theta: float, tol: Tolerance = DEFAULT_TOL) -> Report:
     """
     theta = _example_44_angle(theta)
     scn = _example_44(theta)
-    e = scn.observable("E")
-    f = scn.observable("F")
-    rho1 = DensityOperator(scn.observable("P1").matrix, name="rho1")
-    rho2 = DensityOperator(scn.observable("P2").matrix, name="rho2")
+    e, f = scn.observable("E"), scn.observable("F")
     gate = tol.gate(scn.dim)
-
     report = Report(command="example44", inputs={"theta": theta})
-    predicted = {
-        "rho1": abs(math.cos(theta) ** 2 - 0.5),
-        "rho2": abs(math.sin(theta) ** 2 - 0.5),
-    }
+    predicted = {"rho1": abs(math.cos(theta) ** 2 - 0.5), "rho2": abs(math.sin(theta) ** 2 - 0.5)}
     measured = {}
-    for label, rho in (("rho1", rho1), ("rho2", rho2), ("mixture", scn.state)):
-        residual = assignment_probs(e, f, rho, tol).c3_residual
-        measured[label] = residual
-        if label == "mixture":
-            report.add(
-                name="sum-rule:mixture",
-                passed=residual <= gate,
-                residual=residual,
-                ref="claim:sum-rule",
-                detail="must hold at the even mixture",
-            )
-        else:
-            deviation = abs(residual - predicted[label])
-            report.add(
-                name=f"sum-rule-residual:{label}",
-                passed=deviation <= gate,
-                residual=residual,
-                ref="claim:sum-rule",
-                detail=f"predicted residual {predicted[label]!r}",
-            )
+    for label, projection in (("rho1", "P1"), ("rho2", "P2")):
+        rho = DensityOperator(scn.observable(projection).matrix, name=label)
+        measured[label] = residual = assignment_probs(e, f, rho, tol).c3_residual
+        passed = abs(residual - predicted[label]) <= gate
+        detail = f"predicted residual {predicted[label]!r}"
+        report.add(f"sum-rule-residual:{label}", passed, residual, "claim:sum-rule", detail)
+    mixture = assignment_probs(e, f, scn.state, tol).c3_residual
+    detail = "must hold at the even mixture"
+    report.add("sum-rule:mixture", mixture <= gate, mixture, "claim:sum-rule", detail)
     predicted_hidden = predicted["rho1"] > gate and predicted["rho2"] > gate
-    observed_hidden = (
-        measured["rho1"] > gate
-        and measured["rho2"] > gate
-        and measured["mixture"] <= gate
+    observed_hidden = measured["rho1"] > gate and measured["rho2"] > gate and mixture <= gate
+    detail = (
+        "sum rule fails for both pure components yet holds for their mixture"
+        if observed_hidden
+        else "no hidden-inconsistency pattern at this angle"
     )
-    report.add(
-        name="hidden-inconsistency",
-        passed=predicted_hidden == observed_hidden,
-        residual=None,
-        ref="conclusion",
-        detail=(
-            "sum rule fails for both pure components yet holds for their "
-            "mixture"
-            if observed_hidden
-            else "no hidden-inconsistency pattern at this angle"
-        ),
-    )
+    passed = predicted_hidden == observed_hidden
+    report.add("hidden-inconsistency", passed, None, "conclusion", detail)
     return report
 
 
@@ -742,6 +817,12 @@ _JSON_TYPES = {
 }
 
 
+# The JSON type of each type of claim field but ConstraintSet.
+_CLAIM_FIELD_TYPES = {
+    "str": "a string", "bool": "true or false", "tuple[str, ...]": "an array of strings"
+}
+
+
 def _field(doc: dict, key: str, where: str, want: str, default=None):
     """doc[key] of JSON type `want` (an array as a tuple), or `default` if missing.
 
@@ -757,10 +838,18 @@ def _field(doc: dict, key: str, where: str, want: str, default=None):
     return tuple(doc[key]) if isinstance(doc[key], list) else doc[key]
 
 
+def _known_keys(doc: dict, keys, where: str) -> None:
+    """Raise ScenarioFormatError naming the first key of doc not in keys."""
+    for key in doc:
+        if key not in keys:
+            raise ScenarioFormatError(f"{where}: unknown field {key!r}")
+
+
 def _constraint_set(entry: dict, at: str) -> ConstraintSet:
     equations = []
     for j, eq in enumerate(_field(entry, "equations", at, "an array of objects")):
         where = f"{at}.equations[{j}]"
+        _known_keys(eq, ("left", "right", "sign"), where)
         left = _field(eq, "left", where, "an array of strings")
         right = _field(eq, "right", where, "an array of strings")
         sign = _field(eq, "sign", where, "the integer 1 or -1")
@@ -776,12 +865,15 @@ def _parse_claim(entry, index: int) -> Claim:
     cls = _CLAIM_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ScenarioFormatError(f"{at}: unknown claim kind {kind!r}")
+    set_keys = ("symbols", "equations")
+    keys = [k for f in fields(cls) for k in (set_keys if f.type == "ConstraintSet" else [f.name])]
+    _known_keys(entry, ["kind", *keys], at)
     values = []
     for f in fields(cls):
         if f.type == "ConstraintSet":
             values.append(_constraint_set(entry, at))
         else:
-            want = {"str": "a string", "bool": "true or false"}[f.type]
+            want = _CLAIM_FIELD_TYPES[f.type]
             default = None if f.default is MISSING else f.default
             values.append(_field(entry, f.name, at, want, default))
     return cls(*values)

@@ -19,7 +19,7 @@ import qdetect.detection
 import qdetect.numerics
 import qdetect.observables
 import qdetect.scenarios
-from qdetect import CMatrix, DensityOperator, Projection
+from qdetect import CMatrix, DensityOperator, Projection, Scenario, verify_scenario
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -396,6 +396,18 @@ def reference_chain_trace(*mats: np.ndarray) -> complex:
     for x in mats[1:]:
         m = m @ x
     return complex(np.trace(m))
+
+
+def reference_conditional(rho: np.ndarray, e: np.ndarray, f: np.ndarray) -> float:
+    """P(F|E) = Tr(rho.E.F.E) / Tr(rho.E), each trace of its full chain."""
+    return reference_chain_trace(rho, e, f, e).real / reference_chain_trace(rho, e).real
+
+
+def one_claim_line(claim, rho: DensityOperator, observables: dict):
+    """The one line verify_scenario gives a scenario declaring only `claim`."""
+    scn = Scenario("one-claim", rho.dim, rho, observables, [claim])
+    (line,) = verify_scenario(scn).checks
+    return line
 
 
 def pair_library(rng: np.random.Generator, dims=(2, 3, 4, 7, 16, 33, 64, 100, 128, 256)):

@@ -10,15 +10,13 @@ import time
 import numpy as np
 
 from qdetect import (
-    CoMeasurabilityError,
+    AdditivityClaim,
     assignment_probs,
     build_example_44,
     build_ghsz,
     build_rt_analogue,
-    check_C2,
     commutation_projection,
     detects,
-    detects_via_probability,
     joint_distribution,
     orthogonal_sum,
     refinement_check,
@@ -31,6 +29,7 @@ from qdetect.observables import DensityOperator, Projection, commutes
 
 from support import (
     haar_unitary,
+    one_claim_line,
     projection_in_basis,
     random_commuting_nondetecting_triple,
     random_commuting_pair,
@@ -118,24 +117,20 @@ def test_acceptance_3_predicate_equivalence():
     cases = 0
 
     def compare(t, e, rho) -> None:
+        # The operator route reads E.rho = T.rho, the probability route that
+        # both discordances vanish; only a commuting pair has the latter.
         nonlocal cases
         cases += 1
         check = detects(t, e, rho)
-        if check.commutes:
-            via = detects_via_probability(t, e, rho)
-            if via != check.holds:
-                problems.append(
-                    f"case {cases}: operator route {check.holds}, "
-                    f"probability route {via}"
-                )
-        else:
-            if check.holds:
-                problems.append(f"case {cases}: holds despite non-commuting")
-            try:
-                detects_via_probability(t, e, rho)
-                problems.append(f"case {cases}: probability route accepted non-commuting")
-            except CoMeasurabilityError:
-                pass
+        gate = 1e-10 * t.dim
+        operator = check.commutes and check.state_equal_defect <= gate
+        probability = check.discord_10 <= gate and check.discord_01 <= gate
+        if check.commutes and operator != probability:
+            problems.append(
+                f"case {cases}: operator route {operator}, probability route {probability}"
+            )
+        if check.holds != (operator and probability):
+            problems.append(f"case {cases}: holds {check.holds}, routes {operator}, {probability}")
 
     for _ in range(400):
         dim = int(rng.integers(2, 17))
@@ -174,7 +169,9 @@ def test_acceptance_4_sandwich_matches_spectral_oracle():
         family = [Projection(outer(v[:, j]), name=f"F{j}") for j in range(count)]
         e = random_projection(rng, dim)
         rho = random_density(rng, dim)
-        if not check_C2(e, family, rho):
+        names = {f"F{j}": f for j, f in enumerate(family)}
+        claim = AdditivityClaim("E", tuple(names))
+        if not one_claim_line(claim, rho, {"E": e, **names}).passed:
             problems.append(f"additivity case {case} failed")
         total = family[0]
         for g in family[1:]:

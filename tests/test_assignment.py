@@ -1,31 +1,29 @@
 
+import re
+
 import numpy as np
 import pytest
 
-import qdetect.assignment
-
 from qdetect import (
+    AdditivityClaim,
     CMatrix,
     CoMeasurabilityError,
+    CzClaim,
     DensityOperator,
     DEFAULT_TOL,
     DimensionError,
+    FormEqualityClaim,
     LemmaViolationError,
-    OrthogonalityError,
     PreconditionError,
     Projection,
+    SumRuleClaim,
     UndefinedConditionalError,
     Tolerance,
     ValidationError,
     assignment_probs,
-    check_C1,
-    check_C2,
     check_C3,
     complement,
     cond_prob,
-    commutes,
-    cz_property_check,
-    detection_form_equality,
     joint_distribution,
     outer,
     simulation_equalities,
@@ -46,7 +44,10 @@ from support import (
     count_commutation_checks,
     count_products,
     pair_library,
+    one_claim_line,
     reference_chain_trace,
+    reference_commutator_defect,
+    reference_conditional,
     reference_joint_atoms,
     refine_inside,
     spectral_atoms,
@@ -107,77 +108,66 @@ def test_cond_prob_undefined_on_null_event():
         cond_prob(f, g, rho)
 
 
-def test_check_C1_extension_sweep():
+def test_sum_rule_claim_extension_sweep():
+    # For a commuting pair the sandwich Tr(rho.E.F.E) extends the joint trace
+    # Tr(rho.E.F): the sum-rule line passes, and its residual is twice their
+    # distance on the full chains.
     rng = np.random.default_rng(67)
     for _ in range(40):
         dim = int(rng.integers(2, 9))
         e, f = random_commuting_pair(rng, dim)
-        assert check_C1(e, f, random_density(rng, dim))
+        rho = random_density(rng, dim)
+        line = one_claim_line(SumRuleClaim("E", "F"), rho, {"E": e, "F": f})
+        em, fm, rm = e.matrix.array, f.matrix.array, rho.matrix.array
+        gap = abs(reference_chain_trace(rm, em, fm, em) - reference_chain_trace(rm, em, fm))
+        assert line.passed and abs(line.residual - 2.0 * gap) <= ROUTE_TOL * dim
 
 
-def test_check_C1_refuses_non_commuting(rt):
-    with pytest.raises(CoMeasurabilityError):
-        check_C1(rt.observable("E"), rt.observable("F"), rt.state)
+def _additivity_values(line) -> tuple[float, float]:
+    pattern = r"p\(E&sum F\)=(\S+) sum p\(E&F\)=(\S+)"
+    whole, parts = re.fullmatch(pattern, line.detail).groups()
+    return float(whole), float(parts)
 
 
-def test_check_C1_takes_three_products(ghsz, monkeypatch):
-    # The commutation check, X = rho.E and X.F; Tr(rho.E.F) is read off X.
-    e, f = ghsz.observable("G_alpha"), ghsz.observable("F")
-    products = count_products(monkeypatch)
-    assert check_C1(e, f, ghsz.state)
-    assert len(products) == 3
-
-
-def test_check_C1_traces_match_two_chain_route(monkeypatch):
-    # Tr(rho.E.F.E) and Tr(rho.E.F) come out bit-identical to the two chains
-    # rho.E.F.E and rho.E.F, and their distance is half the C3 residual.
-    traces = []
-    real_trace = qdetect.assignment._real_trace
-
-    def recording(*args):
-        traces.append(real_trace(*args))
-        return traces[-1]
-
-    monkeypatch.setattr(qdetect.assignment, "_real_trace", recording)
-    rng = np.random.default_rng(61)
-    pairs = 0
-    for t, e, _, rho in pair_library(rng):
-        if not commutes(t, e):
-            continue
-        pairs += 1
-        gate = DEFAULT_TOL.gate(e.dim)
-        del traces[:]
-        verdict = check_C1(e, t, rho)
-        sandwich = real_trace("", gate, rho.matrix, e.matrix, t.matrix, e.matrix)
-        plain = real_trace("", gate, rho.matrix, e.matrix, t.matrix)
-        assert traces == [sandwich, plain]
-        assert verdict == (abs(sandwich - plain) <= gate)
-        c3 = assignment_probs(e, t, rho).c3_residual
-        assert 2.0 * abs(sandwich - plain) == c3
-    assert pairs == 40
-
-
-def test_check_C2_additivity_any_e():
+def test_additivity_claim_any_e():
     # Additivity of the sandwich needs no compatibility between e and the
-    # family; linearity in the middle slot does all the work.
+    # family; linearity in the middle slot does all the work. Both sides
+    # match the full chains.
     rng = np.random.default_rng(71)
     for _ in range(30):
         dim = int(rng.integers(3, 9))
         v = haar_unitary(rng, dim)
-        family = [
-            Projection(outer(v[:, j]), name=f"F{j}") for j in range(int(rng.integers(2, dim)))
-        ]
-        e = random_projection(rng, dim)
-        assert check_C2(e, family, random_density(rng, dim))
+        family = {f"F{j}": Projection(outer(v[:, j])) for j in range(int(rng.integers(2, dim)))}
+        e, rho = random_projection(rng, dim), random_density(rng, dim)
+        line = one_claim_line(AdditivityClaim("E", tuple(family)), rho, {"E": e, **family})
+        assert line.passed and line.name == "additivity:E~" + "+".join(family)
+        whole, parts = _additivity_values(line)
+        em, rm = e.matrix.array, rho.matrix.array
+        total = sum(f.matrix.array for f in family.values())
+        each = [reference_chain_trace(rm, em, f.matrix.array, em).real for f in family.values()]
+        assert abs(whole - reference_chain_trace(rm, em, total, em).real) <= ROUTE_TOL * dim
+        assert abs(parts - sum(each)) <= ROUTE_TOL * dim * len(each)
+        assert line.residual == abs(whole - parts)
 
 
-def test_check_C2_rejects_bad_family():
-    e = Projection(CMatrix(np.diag([1.0, 0.0])))
-    with pytest.raises(ValidationError):
-        check_C2(e, [], DensityOperator(CMatrix(np.diag([0.5, 0.5]))))
-    p = Projection(CMatrix(0.5 * np.ones((2, 2))))
-    with pytest.raises(OrthogonalityError):
-        check_C2(e, [p, p], DensityOperator(CMatrix(np.diag([0.5, 0.5]))))
+def test_additivity_claim_fails_on_an_overlapping_family(ghsz):
+    # F and its complement are orthogonal, F and G_alpha are not: the failing
+    # line names the first overlapping pair and nothing raises.
+    observables = {**ghsz.observables, "F'": complement(ghsz.observable("F"))}
+    good = one_claim_line(AdditivityClaim("E_beta", ("F", "F'")), ghsz.state, observables)
+    assert good.passed and good.residual == 0.0
+    assert _additivity_values(good)[0] == pytest.approx(0.5, abs=1e-15)
+    claim = AdditivityClaim("E_alpha", ("F'", "F", "G_alpha"))
+    bad = one_claim_line(claim, ghsz.state, observables)
+    assert (bad.passed, bad.residual) == (False, 0.25)
+    assert bad.detail == "overlap F'.G_alpha = 2.500e-01 > gate 1.600e-09"
+    rng = np.random.default_rng(73)
+    for dim in (3, 8):
+        obs = {name: random_projection(rng, dim) for name in ("E", "F", "G")}
+        line = one_claim_line(AdditivityClaim("E", ("F", "G")), random_density(rng, dim), obs)
+        assert not line.passed and line.detail.startswith("overlap F.G = ")
+        line = one_claim_line(AdditivityClaim("E", ("F", "F")), random_density(rng, dim), obs)
+        assert not line.passed and line.detail.startswith("overlap F.F = ")
 
 
 def test_check_C3_commuting_sweep():
@@ -206,28 +196,47 @@ def test_check_C3_fails_at_pure_components():
     assert check_C3(e, f, mix)
 
 
-def test_detection_form_equality_sweep():
+def test_form_equality_claim_sweep():
+    # Under detection the sandwich against E is the joint trace with T, and
+    # both values match the full chains.
     rng = np.random.default_rng(79)
     for _ in range(40):
         dim = int(rng.integers(2, 9))
         t, e, rho = random_detecting_triple(rng, dim)
         f = refine_inside(rng, t)
-        assert detection_form_equality(t, e, f, rho)
+        line = one_claim_line(FormEqualityClaim("T", "E", "F"), rho, {"T": t, "E": e, "F": f})
+        assert line.passed and line.name == "form-equality:T->E~F"
+        pattern = r"Tr\(rho\.E\.F\.E\)=(\S+) Tr\(rho\.F\.T\)=(\S+)"
+        sandwich, joint = map(float, re.fullmatch(pattern, line.detail).groups())
+        tm, em, fm, rm = (x.matrix.array for x in (t, e, f, rho))
+        assert abs(sandwich - reference_chain_trace(rm, em, fm, em).real) <= ROUTE_TOL * dim
+        assert abs(joint - reference_chain_trace(rm, fm, tm).real) <= ROUTE_TOL * dim
+        assert line.residual == abs(sandwich - joint)
 
 
-def test_detection_form_equality_preconditions(ghsz):
+def test_form_equality_claim_preconditions(ghsz):
+    # A pair that does not detect, or an F that does not commute with T,
+    # gives a failing line that names the failure.
     rng = np.random.default_rng(83)
     t, e, rho = random_commuting_nondetecting_triple(rng, 4)
-    with pytest.raises(PreconditionError):
-        detection_form_equality(t, e, refine_inside(rng, t), rho)
-    # E_beta fails to commute with the composite detector M.
-    with pytest.raises(PreconditionError):
-        detection_form_equality(
-            ghsz.observable("M"),
-            ghsz.observable("G_alpha"),
-            ghsz.observable("E_beta"),
-            ghsz.state,
-        )
+    obs = {"T": t, "E": e, "F": refine_inside(rng, t)}
+    line = one_claim_line(FormEqualityClaim("T", "E", "F"), rho, obs)
+    assert not line.passed and line.detail.startswith("detection:T->E fails: state defect")
+    t, e, rho = random_detecting_triple(rng, 6)
+    obs = {"T": t, "E": e, "F": random_projection(rng, 6)}
+    assert reference_commutator_defect(t.matrix.array, obs["F"].matrix.array) > 1e-3
+    line = one_claim_line(FormEqualityClaim("T", "E", "F"), rho, obs)
+    assert not line.passed and line.detail.startswith("commutator [F,T] = ")
+    # E_beta fails to commute with the composite detector M; E_alpha does.
+    line = one_claim_line(FormEqualityClaim("M", "G_alpha", "E_beta"), ghsz.state, ghsz.observables)
+    assert (line.passed, line.residual) == (False, 0.5)
+    assert line.detail == "commutator [E_beta,M] = 5.000e-01 > gate 1.600e-09"
+    claim = FormEqualityClaim("M", "G_alpha", "E_alpha")
+    line = one_claim_line(claim, ghsz.state, ghsz.observables)
+    assert line.passed and line.residual == 0.0
+    claim = FormEqualityClaim("F", "G_alpha", "E_alpha")
+    line = one_claim_line(claim, ghsz.state, ghsz.observables)
+    assert not line.passed and line.detail.startswith("detection:F->G_alpha fails: ")
 
 
 def test_simulation_equalities_on_scenario(ghsz):
@@ -296,48 +305,86 @@ def test_simulation_equalities_preconditions(ghsz):
         )
 
 
-def test_cz_property_check_on_scenario(ghsz):
-    # Sample includes an orthogonal pair (F, F') and a member absorbed by the
-    # conditioning projection (G_alpha itself), so every clause fires.
-    sample = [
-        ghsz.observable("F"),
-        complement(ghsz.observable("F")),
-        ghsz.observable("L_alpha"),
-        ghsz.observable("G_alpha"),
-    ]
-    assert cz_property_check(
-        ghsz.observable("M"), ghsz.observable("G_alpha"), ghsz.state, sample
+# An orthogonal pair (F, F') and a member under the conditioning projection
+# (G_alpha itself), so every property of the conditional functional is judged.
+_CZ_SAMPLE = ("F", "F'", "L_alpha", "G_alpha")
+
+
+def _conditionals(line) -> dict:
+    """The P(F|E) values a cz line's detail reports, by name."""
+    values = line.detail.rsplit("; ", 1)[1]
+    return {name: float(v) for name, v in re.findall(r"P\((\S+)\|E\)=(\S+)", values)}
+
+
+def test_cz_claim_on_scenario(ghsz):
+    observables = {**ghsz.observables, "F'": complement(ghsz.observable("F"))}
+    line = one_claim_line(CzClaim("M", "G_alpha", _CZ_SAMPLE), ghsz.state, observables)
+    assert line.passed and line.name == "cz:M->G_alpha~F,F',L_alpha,G_alpha"
+    assert line.detail.startswith(
+        "holds: P(I|E) = 1, P(F+F'|E) additive, P(G_alpha|E) = Tr(rho.G_alpha)/Tr(rho.E); "
     )
+    e, rho = ghsz.observable("G_alpha").matrix.array, ghsz.state.matrix.array
+    got = _conditionals(line)
+    assert list(got) == list(_CZ_SAMPLE)
+    for name, value in got.items():
+        want = reference_conditional(rho, e, observables[name].matrix.array)
+        assert abs(value - want) <= ROUTE_TOL * 16
 
 
-def test_cz_property_check_forms_rho_e_once(ghsz, monkeypatch):
-    # The sample of test_cz_property_check_on_scenario: 4 commutation checks
-    # against T, rho.E, then one X.F per conditional (I, the orthogonal pair
-    # F, F' and its sum, and G_alpha <= E), 6 pair products and 4 E.F.
-    sample = [
-        ghsz.observable("F"),
-        complement(ghsz.observable("F")),
-        ghsz.observable("L_alpha"),
-        ghsz.observable("G_alpha"),
-    ]
-    t, e = ghsz.observable("M"), ghsz.observable("G_alpha")
+def test_cz_claim_random_quads():
+    # Members diagonal in the pair's shared basis commute with T: an
+    # orthogonal pair (A, B = A') and E itself; P(F|E) matches the full chains.
+    rng = np.random.default_rng(89)
+    for _ in range(30):
+        dim = int(rng.integers(2, 9))
+        t, e, rho, v = random_detecting_quad(rng, dim)
+        bits = rng.integers(0, 2, dim)
+        a, b = projection_in_basis(v, bits), projection_in_basis(v, 1 - bits)
+        obs = {"T": t, "E": e, "A": a, "B": b}
+        line = one_claim_line(CzClaim("T", "E", ("A", "B", "E")), rho, obs)
+        rm, em = rho.matrix.array, e.matrix.array
+        den = reference_chain_trace(rm, em).real
+        if den <= DEFAULT_TOL.gate(dim):
+            assert not line.passed and line.detail.startswith("Tr(rho.E) = ")
+            continue
+        assert line.passed, line.detail
+        assert "P(A+B|E) additive" in line.detail and "P(E|E) = Tr(rho.E)/Tr(rho.E)" in line.detail
+        for name, value in _conditionals(line).items():
+            want = reference_conditional(rm, em, obs[name].matrix.array)
+            assert abs(value - want) <= ROUTE_TOL * dim / den
+
+
+def test_cz_claim_forms_rho_e_once(ghsz, monkeypatch):
+    # The detection's 2 products and F.T for each of the 4 members, rho.E
+    # once, one X.F per conditional (I, the 4 members and the orthogonal sum
+    # F + F'), the 6 pair products and E.F for each member.
+    observables = {**ghsz.observables, "F'": complement(ghsz.observable("F"))}
+    claim = CzClaim("M", "G_alpha", _CZ_SAMPLE)
     products = count_products(monkeypatch)
-    assert cz_property_check(t, e, ghsz.state, sample)
-    assert len(products) == 4 + 1 + 5 + 6 + 4
+    assert one_claim_line(claim, ghsz.state, observables).passed
+    assert len(products) == 2 + 4 + 1 + 6 + 6 + 4
 
 
-def test_cz_property_check_preconditions(ghsz):
-    with pytest.raises(PreconditionError):
-        cz_property_check(
-            ghsz.observable("M"),
-            ghsz.observable("G_alpha"),
-            ghsz.state,
-            [ghsz.observable("E_beta")],
-        )
+def test_cz_claim_preconditions(ghsz):
+    line = one_claim_line(CzClaim("M", "G_alpha", ("E_beta",)), ghsz.state, ghsz.observables)
+    assert (line.passed, line.residual) == (False, 0.5)
+    assert line.detail == "commutator [E_beta,M] = 5.000e-01 > gate 1.600e-09"
+    line = one_claim_line(CzClaim("F", "G_alpha", ()), ghsz.state, ghsz.observables)
+    assert not line.passed and line.detail.startswith("detection:F->G_alpha fails: ")
+    rng = np.random.default_rng(97)
+    t, e, rho = random_commuting_nondetecting_triple(rng, 5)
+    line = one_claim_line(CzClaim("T", "E", ("T",)), rho, {"T": t, "E": e})
+    assert not line.passed and line.detail.startswith("detection:T->E fails: state defect")
+    t, e, rho = random_detecting_triple(rng, 6)
+    obs = {"T": t, "E": e, "F": random_projection(rng, 6)}
+    assert reference_commutator_defect(t.matrix.array, obs["F"].matrix.array) > 1e-3
+    line = one_claim_line(CzClaim("T", "E", ("E", "F")), rho, obs)
+    assert not line.passed and line.detail.startswith("commutator [F,T] = ")
     t = Projection(CMatrix(np.diag([0.0, 1.0])))
     rho = DensityOperator.pure([1.0, 0.0])
-    with pytest.raises(PreconditionError):
-        cz_property_check(t, t, rho, [])
+    line = one_claim_line(CzClaim("T", "T", ()), rho, {"T": t})
+    assert (line.passed, line.residual) == (False, 0.0)
+    assert line.detail == "Tr(rho.E) = 0.000e+00 <= gate 2.000e-10, so P(F|E) is undefined"
 
 
 def test_joint_distribution_single_site_pair(ghsz):

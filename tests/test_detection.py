@@ -3,7 +3,6 @@ import pytest
 
 from qdetect import (
     CMatrix,
-    CoMeasurabilityError,
     DensityOperator,
     DetectionClaim,
     DimensionError,
@@ -14,7 +13,6 @@ from qdetect import (
     complement,
     complement_lemma_check,
     detects,
-    detects_via_probability,
     dist,
     outer,
     rank_one_detector,
@@ -70,9 +68,6 @@ def test_commuting_non_detecting_pair_frozen_values(ghsz):
     assert check.state_equal_defect == pytest.approx(0.25, abs=1e-12)
     assert check.discord_10 == pytest.approx(0.25, abs=1e-12)
     assert check.discord_01 == pytest.approx(0.25, abs=1e-12)
-    assert detects_via_probability(
-        ghsz.observable("F"), ghsz.observable("G_alpha"), ghsz.state
-    ) is False
 
 
 def test_non_commuting_pair_reports_without_holding(rt):
@@ -83,8 +78,12 @@ def test_non_commuting_pair_reports_without_holding(rt):
 
 
 def test_probability_route_refuses_non_commuting(rt):
-    with pytest.raises(CoMeasurabilityError):
-        detects_via_probability(rt.observable("E"), rt.observable("F"), rt.state)
+    # A non-commuting pair has no joint outcomes: its discordances are only
+    # diagnostics, and the detect line names the commutator alone.
+    scn = Scenario("rt", rt.dim, rt.state, rt.observables, [DetectionClaim("E", "F")])
+    (line,) = verify_scenario(scn).checks
+    assert not line.passed
+    assert line.detail == "commutator [T,E] = 4.330e-01 > gate 4.000e-10"
 
 
 def test_dimension_mismatch():
@@ -126,13 +125,13 @@ def test_probability_route_equivalence_sweep():
         t, e, rho = random_detecting_triple(rng, dim)
         check = detects(t, e, rho)
         assert check.holds
-        assert detects_via_probability(t, e, rho)
+        assert max(check.discord_10, check.discord_01) <= DEFAULT_TOL.gate(dim)
     for _ in range(60):
         dim = int(rng.integers(2, 10))
         t, e, rho = random_commuting_nondetecting_triple(rng, dim)
         check = detects(t, e, rho)
         assert check.commutes and not check.holds
-        assert not detects_via_probability(t, e, rho)
+        assert max(check.discord_10, check.discord_01) > DEFAULT_TOL.gate(dim)
 
 
 @pytest.mark.parametrize("dim", [64, 256])
@@ -147,7 +146,7 @@ def test_discordant_mass_fails_detection(dim):
         check = detects(t, e, rho)
         assert check.commutes and check.state_equal_defect < gate
         assert check.discord_01 == pytest.approx(k * gate, rel=1e-6, abs=1e-3 * gate)
-        assert check.holds == (k <= 1.0) == detects_via_probability(t, e, rho)
+        assert check.holds == (k <= 1.0) == (max(check.discord_10, check.discord_01) <= gate)
         scn = Scenario("discordant", dim, rho, {"T": t, "E": e}, [DetectionClaim("T", "E")])
         (line,) = verify_scenario(scn).checks
         assert line.name == "detection:T->E" and line.passed == check.holds

@@ -63,6 +63,18 @@ def test_projection_reports_both_defects_at_once():
     assert "hermiticity" in message and "idempotency" in message
 
 
+def test_operators_need_a_cmatrix():
+    # A bare array or list is refused by name, not with an AttributeError.
+    for build, entries in (
+        (Projection, np.eye(2)),
+        (DensityOperator, np.eye(2) / 2),
+        (Projection, [[1.0, 0.0], [0.0, 0.0]]),
+    ):
+        kind = type(entries).__name__
+        with pytest.raises(ValidationError, match=f"^{build.__name__} needs a CMatrix, got {kind}"):
+            build(entries)
+
+
 def test_tolerance_validates_and_is_not_stored():
     # A loose tolerance admits what the default refuses; no operator keeps it.
     loose = Tolerance(atol=1e-4)

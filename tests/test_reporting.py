@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import math
+import random
 
 from qdetect import CheckResult, Report
 
@@ -78,3 +80,32 @@ def test_text_format():
     assert any(line.startswith("[PASS] alpha") for line in lines)
     assert any(line.startswith("[FAIL] beta") for line in lines)
     assert lines[-1] == "summary: 2 passed, 1 failed"
+
+
+def _random_text(rng: random.Random) -> str:
+    # Quotes, backslashes, control and non-ASCII characters, a lone surrogate.
+    alphabet = ["a", "Z", '"', "\\", "\n", "\t", "\x00", " ", ","]
+    alphabet += ["\u00e9", "\u2192", "\U0001F600", "\ud800"]
+    return "".join(rng.choice(alphabet) for _ in range(rng.randrange(8)))
+
+
+def test_json_matches_json_dumps_on_random_reports():
+    rng = random.Random(20)
+    residuals = [None, math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16, 2.5e-3, 0.1, 7]
+    inputs = [[1, 2.5, "x"], [], None, 3.5, {"b": [1], "a": "y"}, "z"]
+    for _ in range(500):
+        report = Report(
+            command=_random_text(rng),
+            inputs={_random_text(rng): rng.choice(inputs) for _ in range(rng.randrange(4))},
+        )
+        for _ in range(rng.randrange(6)):  # no checks at all in about one report in six
+            report.checks.append(
+                CheckResult(
+                    _random_text(rng),
+                    rng.random() < 0.5,
+                    rng.choice(residuals),
+                    _random_text(rng),
+                    _random_text(rng),
+                )
+            )
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2, sort_keys=True)

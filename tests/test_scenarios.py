@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qdetect import (
+    AdditivityClaim,
     CMatrix,
     CommutationClaim,
     ConstraintClaim,
@@ -308,6 +309,11 @@ def test_scenario_validation():
         Scenario("x", 2, rho, {"E": Projection(CMatrix(np.eye(3)))})
     with pytest.raises(UnknownObservableError):
         Scenario("x", 2, rho, {"E": e}, [DetectionClaim("E", "nope")])
+    # Each entry of a list field names an observable too.
+    with pytest.raises(UnknownObservableError, match="^no observable named 'nope'"):
+        Scenario("x", 2, rho, {"E": e}, [AdditivityClaim("E", ("E", "nope"))])
+    with pytest.raises(ValidationError, match=r"^additivity claim: fs is \['E'\], not a tuple$"):
+        Scenario("x", 2, rho, {"E": e}, [AdditivityClaim("E", ["E"])])
 
 
 def test_scenario_refuses_what_load_scenario_refuses(tmp_path):
@@ -813,6 +819,7 @@ def test_load_rejects_mistyped_fields(tmp_path, path, value):
 _FIELD_SAMPLES = {
     "str": lambda default: "E",
     "bool": lambda default: default is MISSING or not default,
+    "tuple[str, ...]": lambda default: ("E", "E"),
     "ConstraintSet": lambda default: ConstraintSet(
         ("p", "q"), (SignEquation(("p",), ("q", "q"), -1), SignEquation(("q",), ("p",), 1))
     ),
@@ -866,6 +873,32 @@ def test_claim_kind_names_each_missing_or_mistyped_field(tmp_path, kind):
         doc["claims"][1]["kind"] = bogus
         with pytest.raises(ScenarioFormatError, match=r"^claims\[1\]: unknown claim kind"):
             load_scenario(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("kind", sorted(_CLAIM_KINDS))
+def test_claim_kind_refuses_unknown_fields(tmp_path, kind):
+    # A key that is no field of the kind, such as a misspelled one, is an
+    # error naming the claim and the key, in a claim and in an equation:
+    # dropped, a misspelled "expected" would load as its default, true.
+    _, _, path = _saved_claims(tmp_path, kind)
+    doc = json.loads(path.read_text())
+    entry = doc["claims"][1]
+    for key in [key for key in entry if key != "kind"]:
+        entry[key + "x"] = entry.pop(key)  # misspelled
+        with pytest.raises(ScenarioFormatError, match=rf"^claims\[1\]: unknown field '{key}x'$"):
+            load_scenario(_write(tmp_path, doc))
+        entry[key] = entry.pop(key + "x")
+    entry["bogus"] = 3
+    with pytest.raises(ScenarioFormatError, match=r"^claims\[1\]: unknown field 'bogus'$"):
+        load_scenario(_write(tmp_path, doc))
+    del entry["bogus"]
+    for j, equation in enumerate(entry.get("equations", [])):
+        equation["sgn"] = equation["sign"]
+        where = rf"claims\[1\]\.equations\[{j}\]"
+        with pytest.raises(ScenarioFormatError, match=rf"^{where}: unknown field 'sgn'$"):
+            load_scenario(_write(tmp_path, doc))
+        del equation["sgn"]
+    load_scenario(_write(tmp_path, doc))
 
 
 def test_load_rejects_wrong_dimension(tmp_path):
