@@ -13,7 +13,6 @@ from .errors import (
     CoMeasurabilityError,
     DimensionError,
     LemmaViolationError,
-    OrthogonalityError,
     PreconditionError,
     ScenarioFormatError,
     ToolkitError,
@@ -45,13 +44,11 @@ from .observables import (
     commutes,
     complement,
     derived_projection,
-    orthogonal_sum,
 )
 from .detection import (
     DetectionCheck,
     complement_lemma_check,
     detects,
-    rank_one_detector,
     refinement_check,
 )
 from .assignment import (
@@ -66,6 +63,7 @@ from .assignment import (
 )
 from .scenarios import (
     AdditivityClaim,
+    CommonDetectorClaim,
     CommutationClaim,
     ConstraintClaim,
     ConstraintSet,

@@ -4,15 +4,13 @@ A projection T detects a projection E at the state rho when the two commute
 and E.rho = T.rho. Equivalently (for commuting pairs) the joint outcomes
 (1,0) and (0,1) both carry zero probability. `detects` judges both routes
 in one test and reports the values of each. This module also implements the
-lemma that detection transfers to complements, the theorem that detection
-survives convex refinement of the state, and the constructive search for a
-rank-one detector shared by two non-commuting projections.
+lemma that detection transfers to complements and the theorem that detection
+survives convex refinement of the state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,15 +19,8 @@ from .errors import (
     LemmaViolationError,
     PreconditionError,
 )
-from .numerics import CMatrix, DEFAULT_TOL, EIG_CUT, Tolerance, eigh, hermiticity_defect, max_abs
-from .observables import (
-    DensityOperator,
-    Projection,
-    _eigh_projector,
-    _real,
-    _rho_trace,
-    complement,
-)
+from .numerics import CMatrix, DEFAULT_TOL, Tolerance, hermiticity_defect, max_abs
+from .observables import DensityOperator, Projection, _real, _rho_trace, complement
 
 
 @dataclass(frozen=True)
@@ -175,26 +166,3 @@ def refinement_check(
         )
     return detects(t, e, rho1, tol).holds
 
-
-def rank_one_detector(
-    e: Projection,
-    f: Projection,
-    tol: Tolerance = DEFAULT_TOL,
-) -> Optional[Projection]:
-    """Rank-one projection detecting both e and f at its own pure state.
-
-    Looks for a unit vector inside range(e) & range(f) by diagonalizing
-    e + f and keeping eigenvalue-2 eigenvectors (the spectrum lives in
-    [0, 2] and the top cluster is exactly the intersection). Returns the
-    projector onto one such vector, or None when the ranges meet trivially.
-    The construction works whether or not e and f commute.
-    """
-    if e.dim != f.dim:
-        raise DimensionError(f"dimension mismatch: {e.dim} vs {f.dim}")
-    w, v = eigh(e.matrix + f.matrix, tol)
-    top = np.flatnonzero(w >= 2.0 - EIG_CUT)
-    if top.size == 0:
-        return None
-    psi = v[:, int(top[-1])]
-    name = f"[{e.name}&{f.name}]" if e.name and f.name else "rank-one detector"
-    return _eigh_projector(np.outer(psi, psi.conj()), name)

@@ -24,10 +24,6 @@ class CoMeasurabilityError(ToolkitError, ValueError):
     """An operation that needs commuting operators got a non-commuting pair."""
 
 
-class OrthogonalityError(ToolkitError, ValueError):
-    """A family that must be pairwise orthogonal is not."""
-
-
 class PreconditionError(ToolkitError, ValueError):
     """A stated precondition of the requested check does not hold."""
 

@@ -19,7 +19,7 @@ from .errors import DimensionError, PreconditionError, ValidationError
 MAX_DIM = 4096
 
 # Eigenvalues within this of a target count as equal to it: zero for kernel
-# projectors and joint atoms, 2 for a rank-one detector's top cluster.
+# projectors and joint atoms, 2 for the top cluster of a common-detector claim.
 EIG_CUT = 1e-8
 
 

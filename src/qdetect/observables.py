@@ -3,9 +3,9 @@
 A yes/no property is an orthogonal projection; a state is a density operator;
 a +-1 valued observable is carried by the projection onto its +1 eigenspace.
 This module owns the algebra on those objects: complements, commutators, the
-projector measuring where two properties are jointly decided, orthogonal sums,
-and the half-sum construction that turns a signed product of +-1 observables
-back into a projection.
+projector measuring where two properties are jointly decided, and the
+half-sum construction that turns a signed product of +-1 observables back
+into a projection.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     LemmaViolationError,
-    OrthogonalityError,
     PreconditionError,
     ToolkitError,
     ValidationError,
@@ -32,7 +31,6 @@ from .numerics import (
     hermiticity_defect,
     identity,
     kernel_projector,
-    max_abs,
     mul,
     outer,
     trace,
@@ -303,21 +301,6 @@ def _eigh_projector(k: np.ndarray, name: str) -> Projection:
     p = Projection._trusted(CMatrix._trusted(k), name=name)
     _store_hermitian_part(p, math.inf)
     return p
-
-
-def orthogonal_sum(f: Projection, g: Projection, tol: Tolerance = DEFAULT_TOL) -> Projection:
-    """Sum of two orthogonal projections, which is again a projection.
-
-    Orthogonality means the outcomes never co-occur: F.G must vanish.
-    """
-    overlap = max_abs((f.matrix @ g.matrix).array)
-    if overlap > tol.gate(f.dim):
-        raise OrthogonalityError(
-            f"projections {f.name or 'F'} and {g.name or 'G'} overlap "
-            f"by {overlap:.3e}, cannot form an orthogonal sum"
-        )
-    name = f"{f.name}+{g.name}" if f.name and g.name else ""
-    return Projection(f.matrix + g.matrix, name=name, tol=tol)
 
 
 def derived_projection(

@@ -39,11 +39,13 @@ from .errors import (
     ValidationError,
 )
 from .numerics import (
-    CMatrix, DEFAULT_TOL, MAX_DIM, Tolerance, dist, hermiticity_defect, identity, kron, max_abs,
-    outer,
+    CMatrix, DEFAULT_TOL, EIG_CUT, MAX_DIM, Tolerance, dist, eigh, hermiticity_defect, identity,
+    kron, max_abs, outer,
 )
-from .observables import DensityOperator, Projection, _real_trace, _unit_vector, derived_projection
-from .detection import _detects
+from .observables import (
+    DensityOperator, Projection, _eigh_projector, _real_trace, _unit_vector, derived_projection,
+)
+from .detection import DetectionCheck, _detects
 from .assignment import _sandwich, assignment_probs
 from .reporting import CheckResult, Report
 
@@ -181,23 +183,64 @@ class DetectionClaim:
     def judge(self, scn: Scenario, tol: Tolerance, product) -> CheckResult:
         t, e = scn.observable(self.t), scn.observable(self.e)
         check = _detects(t, e, scn.state, tol, product(self.t, self.e))
-        residual = max(
-            check.commutator_defect, check.state_equal_defect, check.discord_10, check.discord_01
-        )
-        # A failing line names each judged value over the gate (a passing one
-        # has none); a non-commuting pair has no joint outcomes to be discordant.
-        judged = {"commutator [T,E]": check.commutator_defect}
-        if check.commutes:
-            judged = {
-                "state defect (E-T).rho": check.state_equal_defect,
-                "Tr(rho.T.E')": check.discord_10,
-                "Tr(rho.T'.E)": check.discord_01,
-            }
-        gate = tol.gate(scn.dim)
-        over = [f"{what} = {v:.3e} > gate {gate:.3e}" for what, v in judged.items() if v > gate]
-        detail = "; ".join(over) or check.note
+        residual, detail = _detection_account(check, tol.gate(scn.dim))
         name = f"detection:{self.t}->{self.e}"
         return CheckResult(name, check.holds, residual, "claim:detect", detail)
+
+
+def _detection_account(check: DetectionCheck, gate: float) -> tuple[float, str]:
+    """The residual of a detection line, the largest judged value, and its
+    detail: each judged value over the gate (a passing check has none), else
+    the check's note. A non-commuting pair has no joint outcomes to be discordant."""
+    residual = max(
+        check.commutator_defect, check.state_equal_defect, check.discord_10, check.discord_01
+    )
+    judged = {"commutator [T,E]": check.commutator_defect}
+    if check.commutes:
+        judged = {
+            "state defect (E-T).rho": check.state_equal_defect,
+            "Tr(rho.T.E')": check.discord_10,
+            "Tr(rho.T'.E)": check.discord_01,
+        }
+    over = [f"{what} = {v:.3e} > gate {gate:.3e}" for what, v in judged.items() if v > gate]
+    return residual, "; ".join(over) or check.note
+
+
+@dataclass(frozen=True)
+class CommonDetectorClaim:
+    """Some rank-one T = |psi><psi| detects both E and F at its own pure state
+    psi, whether or not E and F commute. The spectrum of E + F lies in [0, 2]
+    and its top cluster spans range(E) & range(F); psi is one of its vectors.
+    The line does not read the scenario's state."""
+
+    e: str
+    f: str
+
+    kind = "common-detector"
+
+    def judge(self, scn: Scenario, tol: Tolerance, product) -> CheckResult:
+        name = f"common-detector:{self.e}~{self.f}"
+        meet = f"range({self.e}) & range({self.f})"
+        w, v = eigh(scn.observable(self.e).matrix + scn.observable(self.f).matrix, tol)
+        top = np.flatnonzero(w >= 2.0 - EIG_CUT)
+        if top.size == 0:
+            gap = float(2.0 - w[-1])
+            detail = f"{meet} = 0: {self.e}+{self.f} has top eigenvalue 2 - {gap:.3e}"
+            return CheckResult(name, False, gap, "claim:common-detector", detail)
+        psi = v[:, int(top[-1])]
+        t = _eigh_projector(np.outer(psi, psi.conj()), f"[{self.e}&{self.f}]")
+        rho = DensityOperator.pure(psi, tol=tol)
+        gate = tol.gate(scn.dim)
+        residual, failing = 0.0, []
+        for x in (self.e, self.f):
+            p = scn.observable(x)
+            check = _detects(t, p, rho, tol, t.matrix @ p.matrix)
+            value, account = _detection_account(check, gate)
+            residual = max(residual, value)
+            if not check.holds:
+                failing.append(f"|psi><psi| does not detect {x}: {account}")
+        detail = "; ".join(failing) or f"{meet} has dimension {top.size}"
+        return CheckResult(name, not failing, float(residual), "claim:common-detector", detail)
 
 
 @dataclass(frozen=True)
@@ -354,9 +397,10 @@ class CzClaim:
 
 _CLAIM_KINDS = {cls.kind: cls for cls in (
     CommutationClaim, DetectionClaim, ConstraintClaim, SumRuleClaim,
-    AdditivityClaim, FormEqualityClaim, CzClaim,
+    AdditivityClaim, FormEqualityClaim, CzClaim, CommonDetectorClaim,
 )}
-Claim = Union[tuple(_CLAIM_KINDS.values())]
+_CLAIM_CLASSES = tuple(_CLAIM_KINDS.values())
+Claim = Union[_CLAIM_CLASSES]
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,10 +435,16 @@ class Scenario:
                 raise DimensionError(
                     f"observable {key!r} has dimension {p.dim}, expected {self.dim}"
                 )
+        # Own copies (the caller may edit its dict or list later, and a
+        # generator is read once); claims compare as a tuple.
+        object.__setattr__(self, "observables", dict(self.observables))
+        object.__setattr__(self, "declared_claims", tuple(self.declared_claims))
         # Every string field of a claim names an observable, as does each
-        # entry of a list field.
+        # entry of a list field, which must have one.
         referenced = set()
-        for c in self.declared_claims:
+        for i, c in enumerate(self.declared_claims):
+            if not isinstance(c, _CLAIM_CLASSES):
+                raise ValidationError(f"declared_claims[{i}]: a {type(c).__name__}, not a claim")
             for f in fields(c):
                 if f.type == "str":
                     referenced.add(getattr(c, f.name))
@@ -402,12 +452,11 @@ class Scenario:
                     names = getattr(c, f.name)
                     if not isinstance(names, tuple):  # a list would not equal the loaded tuple
                         raise ValidationError(f"{c.kind} claim: {f.name} is {names}, not a tuple")
+                    if not names:
+                        raise ValidationError(f"{c.kind} claim: {f.name} is empty")
                     referenced.update(names)
         for name in sorted(referenced):
             self.observable(name)
-        # Own copies (the caller may edit its dict or list later); claims compare as a tuple.
-        object.__setattr__(self, "observables", dict(self.observables))
-        object.__setattr__(self, "declared_claims", tuple(self.declared_claims))
 
     def observable(self, name: str) -> Projection:
         try:
@@ -531,18 +580,20 @@ def verify_ghsz(scn: Scenario, tol: Tolerance = DEFAULT_TOL) -> Report:
         raise PreconditionError("scenario declares no detection claims")
     report = verify_scenario(scn, tol)
     report.command = "ghsz"
-    constraint_checks = [c for c in report.checks if c.ref == "claim:constraints"]
-    physics = [c for c in report.checks if c.ref != "claim:constraints"]
-    no_go = (
-        all(c.passed for c in physics)
-        and len(constraint_checks) > 0
-        and all(c.passed and c.residual == 0.0 for c in constraint_checks)
-    )
-    detail = (
+    lines = list(zip(scn.declared_claims, report.checks))
+    # Other kinds of claim may ride along; they are no part of the argument.
+    premises = [c for claim, c in lines if isinstance(claim, (CommutationClaim, DetectionClaim))]
+    signs = [c for claim, c in lines if isinstance(claim, ConstraintClaim)]
+    failing = [c.name for c in premises + signs if not c.passed]
+    why = [f"failing lines: {', '.join(failing)}"] if failing else []
+    if not signs:
+        why.append("no sign-constraint system is declared")
+    why.extend(f"the sign system has solutions: {c.detail}" for c in signs if c.residual != 0.0)
+    detail = "; ".join(why) or (
         "detections hold but no joint sign assignment satisfies the "
         "constraints; outcome identification is inconsistent"
     )
-    report.add("no-go:identification", no_go, None, "conclusion", detail)
+    report.add("no-go:identification", not why, None, "conclusion", detail)
     return report
 
 
@@ -626,7 +677,8 @@ def build_rt_analogue() -> Scenario:
 
     In dimension four: E spans {psi, u}, F spans {psi, v}, with u and v unit
     vectors orthogonal to psi and overlapping by 1/2. The scenario state is
-    |psi><psi|, which is detected by the rank-one T = |psi><psi| for both.
+    |psi><psi|, which is detected by the rank-one T = |psi><psi| for both;
+    the common-detector claim finds that T from E and F alone.
     """
     state = DensityOperator.pure([1.0, 0.0, 0.0, 0.0], name="psi")
     psi = state.vector
@@ -644,6 +696,7 @@ def build_rt_analogue() -> Scenario:
             CommutationClaim("E", "F", expected=False),
             DetectionClaim("T", "E"),
             DetectionClaim("T", "F"),
+            CommonDetectorClaim("E", "F"),
         ],
     )
 

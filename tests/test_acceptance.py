@@ -18,7 +18,6 @@ from qdetect import (
     commutation_projection,
     detects,
     joint_distribution,
-    orthogonal_sum,
     refinement_check,
     sample_ensemble,
     verify_ghsz,
@@ -173,9 +172,7 @@ def test_acceptance_4_sandwich_matches_spectral_oracle():
         claim = AdditivityClaim("E", tuple(names))
         if not one_claim_line(claim, rho, {"E": e, **names}).passed:
             problems.append(f"additivity case {case} failed")
-        total = family[0]
-        for g in family[1:]:
-            total = orthogonal_sum(total, g)
+        total = Projection(sum((g.matrix for g in family[1:]), family[0].matrix))
         whole = assignment_probs(e, total, rho).p_e_and_f
         parts = sum(assignment_probs(e, g, rho).p_e_and_f for g in family)
         if abs(whole - parts) > 4e-10:

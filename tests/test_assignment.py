@@ -369,7 +369,7 @@ def test_cz_claim_preconditions(ghsz):
     line = one_claim_line(CzClaim("M", "G_alpha", ("E_beta",)), ghsz.state, ghsz.observables)
     assert (line.passed, line.residual) == (False, 0.5)
     assert line.detail == "commutator [E_beta,M] = 5.000e-01 > gate 1.600e-09"
-    line = one_claim_line(CzClaim("F", "G_alpha", ()), ghsz.state, ghsz.observables)
+    line = one_claim_line(CzClaim("F", "G_alpha", ("F",)), ghsz.state, ghsz.observables)
     assert not line.passed and line.detail.startswith("detection:F->G_alpha fails: ")
     rng = np.random.default_rng(97)
     t, e, rho = random_commuting_nondetecting_triple(rng, 5)
@@ -382,7 +382,7 @@ def test_cz_claim_preconditions(ghsz):
     assert not line.passed and line.detail.startswith("commutator [F,T] = ")
     t = Projection(CMatrix(np.diag([0.0, 1.0])))
     rho = DensityOperator.pure([1.0, 0.0])
-    line = one_claim_line(CzClaim("T", "T", ()), rho, {"T": t})
+    line = one_claim_line(CzClaim("T", "T", ("T",)), rho, {"T": t})
     assert (line.passed, line.residual) == (False, 0.0)
     assert line.detail == "Tr(rho.E) = 0.000e+00 <= gate 2.000e-10, so P(F|E) is undefined"
 

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+import qdetect.scenarios
 from qdetect import (
     CMatrix,
+    CommonDetectorClaim,
     DensityOperator,
     DetectionClaim,
     DimensionError,
@@ -15,7 +19,6 @@ from qdetect import (
     detects,
     dist,
     outer,
-    rank_one_detector,
     refinement_check,
     verify_scenario,
 )
@@ -25,6 +28,8 @@ from qdetect.observables import _rho_trace, commutator_defect
 from support import (
     ROUTE_TOL,
     count_products,
+    haar_unitary,
+    one_claim_line,
     pair_library,
     planted_discordance,
     random_commuting_nondetecting_triple,
@@ -196,40 +201,93 @@ def test_refinement_check_requires_detecting_mixture():
         refinement_check(t, e, rho1, rho2, lam1)
 
 
-def test_rank_one_detector_on_overlapping_subspaces(rt):
-    e = rt.observable("E")
-    f = rt.observable("F")
-    detector = rank_one_detector(e, f)
-    assert detector is not None
-    assert detector.rank() == 1
-    # The two ranges were built to share exactly the first basis direction.
-    assert dist(detector.matrix, outer(np.eye(4)[0])) < 1e-7
-    assert detects(detector, e, rt.state).holds
-    assert detects(detector, f, rt.state).holds
+def test_common_detector_on_overlapping_subspaces(rt, ghsz):
+    # The rt analogue's ranges share exactly the first basis direction, and
+    # GHSZ's E_alpha and F (on different qubits) share a 4-dim subspace.
+    line = one_claim_line(CommonDetectorClaim("E", "F"), rt.state, rt.observables)
+    assert (line.name, line.passed) == ("common-detector:E~F", True)
+    assert line.ref == "claim:common-detector"
+    assert line.detail == "range(E) & range(F) has dimension 1"
+    assert type(line.residual) is float and line.residual <= 1e-15
+    line = one_claim_line(CommonDetectorClaim("E_alpha", "F"), ghsz.state, ghsz.observables)
+    assert line.passed and line.detail == "range(E_alpha) & range(F) has dimension 4"
+    # E_alpha + E_beta has top eigenvalue 1 + <+|+i> = 1 + 1/sqrt(2) on qubit 1.
+    line = one_claim_line(CommonDetectorClaim("E_alpha", "E_beta"), ghsz.state, ghsz.observables)
+    assert not line.passed and type(line.residual) is float
+    assert line.residual == pytest.approx(1.0 - 1.0 / math.sqrt(2.0), abs=1e-12)
+    assert line.detail.startswith("range(E_alpha) & range(E_beta) = 0: E_alpha+E_beta has top ")
 
 
-def test_rank_one_detector_trusts_its_eigh_projector(ghsz, rt, monkeypatch):
-    # No product re-checks idempotency; the matrix is bit for bit the one
-    # validation would store for the same eigh column.
-    pairs = [(rt.observable("E"), rt.observable("F")), (rt.observable("F"), rt.observable("E"))]
-    pairs += [(ghsz.observable(a), ghsz.observable(b)) for a, b in (("E_alpha", "F"), ("M", "G_alpha"))]
-    for e, f in pairs:
+def test_common_detector_trusts_its_eigh_projector(ghsz, rt, monkeypatch):
+    # No product re-checks the idempotency of T: its matrix is bit for bit the
+    # one validation would store for the same eigh column, and both detections
+    # are judged at T's own pure state. The four products are T.X and
+    # (X - T).rho for each of the two detections.
+    cases = [(rt, "E", "F"), (rt, "F", "E"), (ghsz, "E_alpha", "F"), (ghsz, "M", "G_alpha")]
+    for scn, a, b in cases:
+        e, f = scn.observable(a), scn.observable(b)
         w, v = eigh(e.matrix + f.matrix, DEFAULT_TOL)
         psi = v[:, int(np.flatnonzero(w >= 2.0 - EIG_CUT)[-1])]
         want = Projection(CMatrix(np.outer(psi, psi.conj()))).matrix.array
+        seen = []
+
+        def spy(t, x, rho, tol, tx, judge=qdetect.scenarios._detects):
+            seen.append((t.matrix.array.tobytes(), rho.vector.tobytes()))
+            return judge(t, x, rho, tol, tx)
+
+        monkeypatch.setattr(qdetect.scenarios, "_detects", spy)
         products = count_products(monkeypatch)
-        got = rank_one_detector(e, f).matrix.array
+        line = one_claim_line(CommonDetectorClaim(a, b), scn.state, scn.observables)
         monkeypatch.undo()
-        assert products == []
-        assert got.tobytes() == want.tobytes()
+        assert line.passed
+        assert len(products) == 4
+        assert seen == [(want.tobytes(), psi.tobytes())] * 2
 
 
-def test_rank_one_detector_none_when_ranges_disjoint():
+def test_common_detector_fails_when_ranges_are_disjoint():
     e = Projection(CMatrix(np.diag([1.0, 0.0])))
     f = Projection(CMatrix(np.diag([0.0, 1.0])))
-    assert rank_one_detector(e, f) is None
-    with pytest.raises(DimensionError):
-        rank_one_detector(e, Projection(CMatrix(np.eye(3))))
+    rho = DensityOperator.pure([1.0, 0.0])
+    line = one_claim_line(CommonDetectorClaim("E", "F"), rho, {"E": e, "F": f})
+    assert (line.passed, line.residual) == (False, 1.0)
+    assert line.detail == "range(E) & range(F) = 0: E+F has top eigenvalue 2 - 1.000e+00"
+
+
+def _planted_pair(rng, dim: int, k: int, theta: float) -> dict:
+    """Haar rank-k E and generic rank-k F whose ranges share the unit vector
+    cos(theta) psi + sin(theta) x, psi in range(E) and x orthogonal to psi."""
+    u = haar_unitary(rng, dim)
+    psi = u[:, 0]
+    g = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+    g -= np.outer(psi, psi.conj() @ g)
+    q = np.linalg.qr(g)[0]  # k orthonormal columns orthogonal to psi
+    basis = np.column_stack([math.cos(theta) * psi + math.sin(theta) * q[:, -1], q[:, :-1]])
+    return {
+        "E": Projection(CMatrix(u[:, :k] @ u[:, :k].conj().T), name="E"),
+        "F": Projection(CMatrix(basis @ basis.conj().T), name="F"),
+    }
+
+
+def test_common_detector_on_planted_haar_pairs():
+    # The shared vector is found at every dim; rotated out of F by 60
+    # degrees, it leaves two generic rank-k ranges with 2k <= dim that meet
+    # only in 0.
+    rng = np.random.default_rng(2029)
+    for dim in (8, 64, 256):
+        k = max(2, dim // 4)
+        rho = random_density(rng, dim)
+        for theta, holds in ((0.0, True), (math.pi / 3.0, False)):
+            obs = _planted_pair(rng, dim, k, theta)
+            e, f = (obs[x].matrix.array for x in "EF")
+            assert reference_commutator_defect(e, f) > 1e-3
+            line = one_claim_line(CommonDetectorClaim("E", "F"), rho, obs)
+            assert line.passed == holds, (dim, theta, line.detail)
+            if holds:
+                assert line.detail == "range(E) & range(F) has dimension 1"
+                assert line.residual <= DEFAULT_TOL.gate(dim)
+            else:
+                assert line.detail.startswith("range(E) & range(F) = 0: ")
+                assert line.residual > 1e-3
 
 
 def test_detects_takes_two_products(monkeypatch):

@@ -6,7 +6,6 @@ import pytest
 from qdetect import (
     CMatrix,
     DensityOperator,
-    OrthogonalityError,
     PreconditionError,
     Projection,
     Tolerance,
@@ -17,7 +16,6 @@ from qdetect import (
     derived_projection,
     dist,
     identity,
-    orthogonal_sum,
     outer,
     zeros,
 )
@@ -272,16 +270,6 @@ def test_commutation_projection_is_identity_iff_commuting():
             continue
         cp = commutation_projection(e, f)
         assert dist(cp.matrix, identity(dim)) > 1e-6
-
-
-def test_orthogonal_sum_cases():
-    e = Projection(CMatrix(np.diag([1.0, 0.0, 0.0])))
-    f = Projection(CMatrix(np.diag([0.0, 1.0, 0.0])))
-    assert dist(orthogonal_sum(e, f).matrix, CMatrix(np.diag([1.0, 1.0, 0.0]))) == 0.0
-    p = Projection(CMatrix(_P_PLUS))
-    assert dist(orthogonal_sum(p, complement(p)).matrix, identity(2)) < 1e-12
-    with pytest.raises(OrthogonalityError):
-        orthogonal_sum(p, p)
 
 
 def test_derived_projection_reproduces_scenario_operators(ghsz):

@@ -12,9 +12,11 @@ import pytest
 from qdetect import (
     AdditivityClaim,
     CMatrix,
+    CommonDetectorClaim,
     CommutationClaim,
     ConstraintClaim,
     ConstraintSet,
+    CzClaim,
     DensityOperator,
     DetectionClaim,
     DimensionError,
@@ -316,6 +318,36 @@ def test_scenario_validation():
         Scenario("x", 2, rho, {"E": e}, [AdditivityClaim("E", ["E"])])
 
 
+def test_scenario_refuses_an_empty_list_field(tmp_path, ghsz_file):
+    # An empty fs would pass as additivity:E~ with residual 0.
+    rho = DensityOperator.pure([1.0, 0.0])
+    e = Projection(CMatrix(np.diag([1.0, 0.0])), name="E")
+    for claim in (AdditivityClaim("E", ()), CzClaim("E", "E", ())):
+        with pytest.raises(ValidationError, match=f"^{claim.kind} claim: fs is empty$"):
+            Scenario("x", 2, rho, {"E": e}, [claim])
+    with open(ghsz_file) as handle:
+        doc = json.load(handle)
+    doc["claims"].append({"kind": "additivity", "e": "E_alpha", "fs": []})
+    path = _write(tmp_path, doc)
+    with pytest.raises(ValidationError, match="^additivity claim: fs is empty$"):
+        load_scenario(path)
+    assert main(["detect", path, "M", "G_alpha"]) == 2
+
+
+def test_scenario_refuses_a_declared_non_claim(ghsz):
+    with pytest.raises(ValidationError, match=r"^declared_claims\[1\]: a str, not a claim$"):
+        replace(ghsz, declared_claims=[ghsz.declared_claims[0], "commute E_alpha F"])
+    with pytest.raises(ValidationError, match=r"^declared_claims\[0\]: a tuple, not a claim$"):
+        replace(ghsz, declared_claims=[("E_alpha", "F")])
+
+
+def test_scenario_keeps_claims_given_as_a_generator(ghsz):
+    # Validation used to read the generator, leaving no claims to store.
+    scn = replace(ghsz, declared_claims=(c for c in ghsz.declared_claims))
+    assert scn.declared_claims == ghsz.declared_claims
+    assert len(verify_scenario(scn).checks) == 15
+
+
 def test_scenario_refuses_what_load_scenario_refuses(tmp_path):
     # Each of these used to build and save a file that load_scenario refused.
     rho = DensityOperator.pure([1.0, 0.0])
@@ -463,7 +495,31 @@ def test_verify_ghsz_conclusion_needs_zero_count(ghsz):
     assert by_name["constraints:satisfiable"].passed
     assert by_name["constraints:satisfiable"].residual == 16.0
     assert not by_name["no-go:identification"].passed
+    assert by_name["no-go:identification"].detail == (
+        "the sign system has solutions: 16 of 128 sign assignments satisfy"
+    )
     assert report.exit_code == 1
+
+
+def test_verify_ghsz_reads_premises_by_kind(ghsz):
+    # A failing claim of another kind is no premise of the no-go, which
+    # keeps its passing line byte for byte.
+    ride = [AdditivityClaim("E_alpha", ("F", "G_alpha")), CommonDetectorClaim("E_alpha", "E_beta")]
+    report = verify_ghsz(replace(ghsz, declared_claims=[*ghsz.declared_claims, *ride]))
+    *lines, no_go = report.checks
+    assert [c.passed for c in lines[-2:]] == [False, False]
+    assert no_go == verify_ghsz(ghsz).checks[-1] and no_go.passed
+
+
+def test_verify_ghsz_failing_conclusion_says_why(ghsz):
+    bad = [DetectionClaim("F", "G_alpha"), CommutationClaim("E_alpha", "E_beta")]
+    report = verify_ghsz(replace(ghsz, declared_claims=[*ghsz.declared_claims, *bad]))
+    no_go = report.checks[-1]
+    assert not no_go.passed
+    assert no_go.detail == "failing lines: detection:F->G_alpha, commutation:E_alpha~E_beta"
+    premises = [c for c in ghsz.declared_claims if not isinstance(c, ConstraintClaim)]
+    no_go = verify_ghsz(replace(ghsz, declared_claims=premises)).checks[-1]
+    assert (no_go.passed, no_go.detail) == (False, "no sign-constraint system is declared")
 
 
 def test_verify_scenario_flags_false_claim():
