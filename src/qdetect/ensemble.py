@@ -286,10 +286,13 @@ def check_support_statements(
     )
     n = ens.n
     counts = ens.atom_counts
+    k = len(ens.family)
+    # Code i's label is the i-th k characters: its table row as "0"s and "1"s.
+    labels = (ens.table + ord("0")).tobytes().decode("ascii")
 
     # tolist() hands out Python floats, whose repr the report prints.
-    for row, p, count in zip(ens.table.tolist(), dist.probs.tolist(), counts.tolist()):
-        label = "".join(map(str, row))
+    for code, (p, count) in enumerate(zip(dist.probs.tolist(), counts.tolist())):
+        label = labels[code * k : code * k + k]
         if p == 0.0:
             report.add(
                 name=f"atom-empty:{label}",

@@ -12,9 +12,10 @@ Three built-in scenarios:
 
 Scenarios serialize to JSON with each complex entry an [re, im] number pair,
 written by one encoder and read by one decoder (ScenarioFormatError for bad
-nesting or leaves, DimensionError for a wrong size); loading decodes each
-array as soon as it is parsed, so it holds one array's lists at a time, and
-re-validates all.
+nesting or leaves, DimensionError for a wrong size); loading reads each
+array as one flat list of numbers (as nested lists only when its text is not
+a canonical nesting of numbers) and decodes it at once, so it holds one
+array's numbers at a time, and re-validates all.
 A pure state (one built by DensityOperator.pure) is written as its vector,
 any other state as its matrix.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
 from functools import cache
 from itertools import combinations
@@ -422,15 +424,23 @@ class Scenario:
         if not isinstance(self.name, str):
             raise ScenarioFormatError(f"name: expected a string, got {self.name!r}")
         _check_dim(self.dim)
+        if not isinstance(self.state, DensityOperator):
+            raise ValidationError(f"state: a {type(self.state).__name__}, not a DensityOperator")
         if self.state.dim != self.dim:
             raise DimensionError(
                 f"state dimension {self.state.dim} does not match scenario dim {self.dim}"
+            )
+        if not isinstance(self.observables, Mapping):
+            raise ScenarioFormatError(
+                f"observables: a {type(self.observables).__name__}, not a name->Projection mapping"
             )
         for key, p in self.observables.items():
             if not isinstance(key, str):
                 raise ScenarioFormatError(f"observables: a name must be a string, got {key!r}")
             if not key:
                 raise ScenarioFormatError("observables: an observable name must not be empty")
+            if not isinstance(p, Projection):
+                raise ValidationError(f"observables[{key!r}]: a {type(p).__name__}, not a Projection")
             if p.dim != self.dim:
                 raise DimensionError(
                     f"observable {key!r} has dimension {p.dim}, expected {self.dim}"
@@ -771,7 +781,7 @@ def _parse(text: str):
     """json.loads(text, object_pairs_hook=_reject_duplicate_keys), except that
     a well-formed array at an int of _LAYOUT comes back as its _floats array.
 
-    Each array's lists are dropped as soon as it is parsed, so a load holds
+    Each array's numbers are dropped as soon as it is parsed, so a load holds
     one array as Python objects, not the whole file. Faults raise the same
     exception with the same message, at the same point of the text.
     """
@@ -788,6 +798,10 @@ def _read(s: str, idx: int, layout):
     """The JSON value at s[idx] and the index after it (see _parse)."""
     if isinstance(layout, dict) and s[idx:idx + 1] == "{":
         return _read_object(s, idx, layout)
+    if isinstance(layout, int) and s[idx:idx + 1] == "[":
+        flat = _read_flat(s, idx, layout)
+        if flat is not None:
+            return flat
     value, end = _JSON.raw_decode(s, idx)
     if isinstance(layout, int) and isinstance(value, list) and value:
         array = _floats(value, (len(value),) * layout + (2,))
@@ -821,6 +835,67 @@ def _read_object(s: str, start: int, layout) -> tuple[dict, int]:
             break
         end = _skip(s, end + 1)
     return _JSON.raw_decode(s, start)
+
+
+# _NUMBERS marks each byte of a JSON number "0"; _UNBRACKET turns brackets
+# into spaces.
+_NUMBERS = bytes.maketrans(b"0123456789.eE+-", b"0" * 15)
+_UNBRACKET = bytes.maketrans(b"[]", b"  ")
+
+
+def _read_flat(s: str, idx: int, ndim: int) -> Optional[tuple[np.ndarray, int]]:
+    """The array of [re, im] pairs whose "[" is s[idx], as _floats makes it,
+    and the index after it; None unless the text is the canonical nesting of
+    an (n,) * ndim + (2,) array with one JSON number in each place, every
+    number within the float range.
+
+    Such text is read as one flat list of numbers: with its brackets turned
+    into spaces, each comma-separated field holds the one number of its
+    place. A pair array holds no '"', so its text ends before the next one,
+    which bounds the scan.
+    """
+    stop = s.find('"', idx)
+    if stop < 0:
+        stop = len(s)
+    while s[stop - 1] in " \t\n\r,}":  # s[idx] is "[", so this stops there
+        stop -= 1
+    try:
+        raw = bytearray(s[idx:stop], "ascii")
+    except UnicodeEncodeError:
+        return None
+    # The outline: whitespace dropped and each run of number bytes one "0"
+    # (a bracket or comma and the byte after it kept). Any other byte, or a
+    # number out of its place, makes it differ from the canonical outline.
+    marked = raw.translate(_NUMBERS, b" \t\n\r")
+    if not marked.startswith(b"[" * (ndim + 1)):  # cheap refusal of a non-pair array
+        return None
+    marked = np.frombuffer(marked, np.uint8)
+    keep = marked != ord("0")
+    keep[1:] |= keep[:-1]
+    outline = marked[keep].tobytes()
+    del marked, keep
+    pairs = outline.count(b"[0,0]")
+    n = pairs if ndim == 1 else math.isqrt(pairs)
+    if outline != _outline(n, ndim):
+        return None
+    flat = raw.translate(_UNBRACKET)
+    del raw
+    flat[0], flat[-1] = ord("["), ord("]")
+    text = flat.decode("ascii")
+    del flat
+    try:
+        values = _JSON.raw_decode(text)[0]
+        del text
+        array = np.array(values, dtype=np.float64)
+    except (ValueError, OverflowError):  # a malformed number or an out-of-range integer
+        return None
+    return array.reshape((n,) * ndim + (2,)), stop
+
+
+def _outline(n: int, ndim: int) -> bytes:
+    """An (n,) * ndim + (2,) JSON array without whitespace, each number "0"."""
+    row = b"[" + b"[0,0]," * (n - 1) + b"[0,0]]"
+    return row if ndim == 1 else b"[" + b",".join([row] * n) + b"]"
 
 
 def _floats(doc, shape: tuple[int, ...]) -> Optional[np.ndarray]:

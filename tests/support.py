@@ -20,6 +20,8 @@ import qdetect.numerics
 import qdetect.observables
 import qdetect.scenarios
 from qdetect import CMatrix, DensityOperator, Projection, Scenario, verify_scenario
+from qdetect.ensemble import MIN_EXPECTED_COUNT
+from qdetect.reporting import Report
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -319,6 +321,35 @@ def reference_count_atom(records, family, omega) -> int:
 def reference_audit(records, t_name: str, e_name: str) -> tuple[int, int]:
     discordant = sum(1 for _, outcomes in records if outcomes[t_name] != outcomes[e_name])
     return discordant, len(records) - discordant
+
+
+def reference_support_json(ens, dist, z: float = 3.0) -> str:
+    """check_support_statements(ens, dist, z).to_json() by the per-atom loop:
+    each label joined from its code's bits, each line added through Report.add."""
+    report = Report(
+        command="support",
+        inputs={"n": ens.n, "seed": ens.seed, "z": float(z), "rho": ens.rho_name},
+    )
+    n, k = ens.n, len(ens.family)
+    counts = np.bincount(ens.index, minlength=2**k)
+    for code, (p, count) in enumerate(zip(dist.probs.tolist(), counts.tolist())):
+        label = "".join(str(code >> (k - 1 - j) & 1) for j in range(k))
+        if p == 0.0:
+            detail = "zero-probability outcome must never occur"
+            report.add(f"atom-empty:{label}", count == 0, float(count), "support:zero-mass", detail)
+            continue
+        if n * p >= MIN_EXPECTED_COUNT:
+            detail = f"expected count {n * p:.1f}"
+            report.add(f"atom-populated:{label}", count > 0, float(count), "support:nonempty", detail)
+        sigma = math.sqrt(p * (1.0 - p) / n)
+        report.add(
+            f"frequency:{label}",
+            abs(count / n - p) <= z * sigma,
+            abs(count / n - p),
+            "support:frequency",
+            f"p={p!r} band={z * sigma:.3e}",
+        )
+    return report.to_json()
 
 
 def reference_joint_atoms(observables, rho, eig_cut: float = 1e-8) -> tuple[dict, float]:

@@ -21,7 +21,7 @@ from qdetect import (
 )
 from qdetect import ensemble as ensemble_module
 from qdetect.assignment import MAX_FAMILY, outcome_bits
-from qdetect.ensemble import _SPLIT, _guide_table, _uniforms
+from qdetect.ensemble import _SPLIT, MIN_EXPECTED_COUNT, _guide_table, _uniforms
 from qdetect.numerics import outer
 from qdetect.observables import DensityOperator
 
@@ -32,6 +32,7 @@ from support import (
     reference_count_outcome,
     reference_csv_bytes,
     reference_records,
+    reference_support_json,
 )
 
 
@@ -475,6 +476,37 @@ def test_zero_mass_lines_cover_exclusive_pairs():
         joint += k * (k - 1) // 2 - seen
     # The sweep must meet both kinds of pair.
     assert exclusive > 0 and joint > 0
+
+
+def _threshold_probs(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
+    """Random atom masses, about half of them exactly zero, with atom 0 at
+    n * p = MIN_EXPECTED_COUNT and atom 1 (when k > 1) one float below it."""
+    at = MIN_EXPECTED_COUNT / n
+    edge = np.array([at, np.nextafter(at, 0.0)])[: 2**k - 1]
+    probs = rng.dirichlet(np.ones(2**k)) * (rng.random(2**k) < 0.5)
+    probs[-1] += 1e-3
+    probs[: edge.size] = 0.0
+    probs *= (1.0 - edge.sum()) / probs.sum()
+    probs[: edge.size] = edge
+    return probs
+
+
+def test_support_report_matches_the_per_atom_reference():
+    # Labels come from one decode of the outcome table; the report's bytes
+    # must be those of the per-atom loop.
+    rng = np.random.default_rng(2912)
+    n = 1000
+    for k in range(1, MAX_FAMILY + 1):
+        family, rho = random_commuting_family(rng, dim=16, k=k, support=int(rng.integers(1, 17)))
+        clamped = joint_distribution(family, rho)
+        threshold = JointDistribution(clamped.names, _threshold_probs(rng, k, n), 1.0)
+        assert n * threshold.probs[0] == MIN_EXPECTED_COUNT
+        for dist in (clamped, threshold):
+            ens = sample_ensemble(dist, n, seed=k)
+            for z in (3.0, 0.5):
+                assert check_support_statements(ens, dist, z).to_json() == reference_support_json(
+                    ens, dist, z
+                )
 
 
 def test_co_occurring_exclusive_pair_fails_its_atom_line(ghsz):

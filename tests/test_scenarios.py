@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import time
 import tracemalloc
 from dataclasses import MISSING, fields, replace
 from itertools import permutations, product as cartesian
@@ -339,6 +340,27 @@ def test_scenario_refuses_a_declared_non_claim(ghsz):
         replace(ghsz, declared_claims=[ghsz.declared_claims[0], "commute E_alpha F"])
     with pytest.raises(ValidationError, match=r"^declared_claims\[0\]: a tuple, not a claim$"):
         replace(ghsz, declared_claims=[("E_alpha", "F")])
+
+
+def test_scenario_refuses_operands_of_the_wrong_type():
+    # A CMatrix observable used to build, and verify_scenario then raised
+    # AttributeError: 'CMatrix' object has no attribute 'matrix'.
+    rho = DensityOperator.pure([1.0, 0.0])
+    e = Projection(CMatrix(np.eye(2)), name="A")
+    with pytest.raises(ValidationError, match=r"^observables\['A'\]: a CMatrix, not a Projection$"):
+        Scenario("x", 2, rho, {"A": CMatrix(np.eye(2))}, [DetectionClaim("A", "A")])
+    with pytest.raises(ValidationError, match=r"^state: a CMatrix, not a DensityOperator$"):
+        Scenario("x", 2, CMatrix(np.eye(2) / 2), {"A": e})
+    assert verify_scenario(Scenario("x", 2, rho, {"A": e}, [DetectionClaim("A", "A")])).exit_code == 0
+
+
+def test_scenario_names_observables_that_are_not_a_mapping(ghsz):
+    # Each used to raise a bare AttributeError: no attribute 'items'.
+    pairs = list(ghsz.observables.items())
+    for value, kind in ((pairs, "list"), ((kv for kv in pairs), "generator")):
+        with pytest.raises(ScenarioFormatError, match=f"^observables: a {kind}, not a name->"):
+            replace(ghsz, observables=value)
+    assert replace(ghsz, observables=dict(pairs)) == ghsz
 
 
 def test_scenario_keeps_claims_given_as_a_generator(ghsz):
@@ -1147,6 +1169,83 @@ def test_parse_matches_json_loads_on_edited_files(tmp_path):
     ):
         assert kind in kinds
     assert any(kind.startswith("duplicate key") for kind in kinds)
+
+
+_NUMBER = r"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?"
+_PAIR = re.compile(rf"\[\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\]")
+
+
+def _edited_arrays(text: str, ndim: int):
+    """The text of an array of [re, im] pairs, edited at its leaves, its
+    whitespace and its nesting."""
+    first = _PAIR.search(text)
+    (a0, a1), (b0, b1), end = first.span(1), first.span(2), first.end()
+    leaves = [
+        "0", "-0", str(2**53 + 1), str(10**400), "1" * 4301, "NaN", "Infinity", "-Infinity",
+        "\u0663", "1 2", "01", ".5", "+5", "1e", "-", "",
+    ]
+    for leaf in leaves:
+        yield text[:a0] + leaf + text[a1:]
+        yield text[:b0] + leaf + text[b1:]
+    for space in ("\t", "\r", "\r\n", "\x0c", "\u00a0"):
+        yield text[:a1] + space + text[a1:]
+        yield text.replace(" ", space).replace("\n", space)
+    # A number moved across a bracket into an empty place: a flat list
+    # without the brackets could not tell these from the well-formed text.
+    yield text[: first.start()] + text[a0:a1] + text[first.start():a0] + text[a1:]
+    yield text[:b0] + text[b1:end] + text[b0:b1] + text[end:]
+    yield text[:b1] + ", 0.0" + text[b1:]  # a 3-number "pair"
+    yield text[: first.start()] + "[" + first.group(0) + "]" + text[end:]
+    yield text[: first.start()] + text[end:].lstrip(", \n")
+    yield "[" + text + "]"
+    yield text[1:-1]
+    yield "[]"
+    if ndim == 2:
+        start = text.index("[", 1)
+        row_end = json.JSONDecoder().raw_decode(text, start)[1]
+        yield text[:start] + "[]" + text[row_end:]  # an empty row
+        yield text[:start] + text[row_end:].lstrip(", \n")  # a missing row
+        *_, before, last = _PAIR.finditer(text, 0, row_end)
+        yield text[: before.end()] + text[last.end():]  # a ragged row
+    for stray in ('"', "}", "]", ",", "5"):
+        yield text + stray
+
+
+def test_parse_matches_json_loads_on_edited_arrays(tmp_path):
+    # The flat reader must give json.loads' document and _floats' arrays, or
+    # raise its exception, for every array path in both whitespace forms.
+    saved = []
+    for scn in (build_rt_analogue(), build_example_44(math.pi / 6.0)):
+        save_scenario(scn, tmp_path / "saved.json")
+        saved.append((tmp_path / "saved.json").read_text())
+    texts = saved + [json.dumps(json.loads(text)) for text in saved]
+    kinds = set()
+    for text in texts:
+        doc = json.loads(text)
+        slots = [("vector", 1) if "vector" in doc["state"] else ("matrix", 2)]
+        slots += [(key, 2) for key in doc["observables"]]
+        for key, ndim in slots:
+            start = re.search(rf'"{key}":\s*', text).end()
+            end = json.JSONDecoder().raw_decode(text, start)[1]
+            for edited in _edited_arrays(text[start:end], ndim):
+                case = text[:start] + edited + text[end:]
+                want = _outcome(_loads_then_floats, case)
+                assert _outcome(_parse, case) == want, case
+                kinds.add(want[0] if isinstance(want[0], type) else "parsed")
+    assert kinds == {"parsed", json.JSONDecodeError, ValueError}
+
+
+def test_load_refuses_many_tiny_arrays_in_linear_time(tmp_path):
+    # The flat reader scans each array only up to the next '"'; a search for
+    # a pair array's closing brackets would scan to the end of the file for
+    # each of these, so the time would grow with the square of their count.
+    names = ", ".join(f'"E{i}": [1]' for i in range(100_000))
+    text = json.dumps(_base_doc()).replace('"observables": {', '"observables": {' + names + ", ", 1)
+    path = _write(tmp_path, text)
+    start = time.perf_counter()
+    with pytest.raises(ScenarioFormatError, match=r"^observables\[E0\]: row 0 is not square$"):
+        load_scenario(path)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_load_peak_memory_stays_near_file_size(tmp_path):
