@@ -229,10 +229,7 @@ def kernel_projector(a: CMatrix, tol: Tolerance = DEFAULT_TOL) -> CMatrix:
     return CMatrix(cols @ cols.conj().T)
 
 
-def outer(u: Sequence[complex] | np.ndarray, v: Sequence[complex] | np.ndarray | None = None) -> CMatrix:
-    """Rank-one matrix |u><v| (|u><u| if v is omitted)."""
+def outer(u: Sequence[complex] | np.ndarray) -> CMatrix:
+    """Rank-one matrix |u><u|."""
     uu = np.asarray(u, dtype=np.complex128).reshape(-1)
-    vv = uu if v is None else np.asarray(v, dtype=np.complex128).reshape(-1)
-    if uu.shape != vv.shape:
-        raise DimensionError(f"vector length mismatch: {uu.shape[0]} vs {vv.shape[0]}")
-    return CMatrix(np.outer(uu, vv.conj()))
+    return CMatrix(np.outer(uu, uu.conj()))

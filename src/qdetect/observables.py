@@ -37,12 +37,22 @@ from .numerics import (
 )
 
 
-def _gate(op, tol: Tolerance) -> float:
-    """The gate of op's matrix, which must be a CMatrix."""
+def _gate(op, tol: Tolerance, label: str) -> float:
+    """The gate of op's matrix, a CMatrix with no entry above 2 * (1 + dim * gate)
+    in modulus. No admitted projection or state reaches that bound (its entries
+    lie within 1 + (dim + 1/2) * gate), and below it validation cannot overflow."""
     if not isinstance(op.matrix, CMatrix):
         got = type(op.matrix).__name__
         raise ValidationError(f"{type(op).__name__} needs a CMatrix, got {got}: wrap it in CMatrix")
-    return tol.gate(op.matrix.dim)
+    gate = tol.gate(op.dim)
+    bound = 2.0 * (1.0 + op.dim * gate)
+    with np.errstate(over="ignore"):  # a modulus beyond the float range reads inf
+        size = np.abs(op.matrix.array)
+    if size.max() > bound:
+        i, j = np.unravel_index(np.argmax(size), size.shape)
+        at = f"{op.name or label}: entry [{i}][{j}]"
+        raise ValidationError(f"{at} has modulus {size[i, j]:.3e} > bound {bound:.3e}")
+    return gate
 
 
 def _store_hermitian_part(op, gate: float) -> float:
@@ -77,7 +87,7 @@ class Projection:
     tol: InitVar[Tolerance] = DEFAULT_TOL  # sets the gate; not stored
 
     def __post_init__(self, tol: Tolerance) -> None:
-        gate = _gate(self, tol)
+        gate = _gate(self, tol, "projection")
         herm = _store_hermitian_part(self, gate)
         idem = dist(self.matrix @ self.matrix, self.matrix)
         problems = []
@@ -86,8 +96,7 @@ class Projection:
         if idem > gate:
             problems.append(f"idempotency defect {idem:.3e}")
         if problems:
-            label = self.name or "projection"
-            raise ValidationError(f"{label}: " + ", ".join(problems))
+            raise ValidationError(f"{self.name or 'projection'}: " + ", ".join(problems))
 
     @property
     def dim(self) -> int:
@@ -153,7 +162,7 @@ class DensityOperator:
         self._validate(tol)
 
     def _validate(self, tol: Tolerance) -> None:
-        gate = _gate(self, tol)
+        gate = _gate(self, tol, "state")
         problems = []
         herm = _store_hermitian_part(self, gate)
         if herm > gate:
@@ -167,8 +176,7 @@ class DensityOperator:
             if lo < -gate:
                 problems.append(f"negative eigenvalue {lo:.3e}")
         if problems:
-            label = self.name or "state"
-            raise ValidationError(f"{label}: " + ", ".join(problems))
+            raise ValidationError(f"{self.name or 'state'}: " + ", ".join(problems))
 
     @property
     def dim(self) -> int:

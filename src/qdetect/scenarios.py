@@ -13,9 +13,9 @@ Three built-in scenarios:
 Scenarios serialize to JSON with each complex entry an [re, im] number pair,
 written by one encoder and read by one decoder (ScenarioFormatError for bad
 nesting or leaves, DimensionError for a wrong size); loading reads each
-array as one flat list of numbers (as nested lists only when its text is not
-a canonical nesting of numbers) and decodes it at once, so it holds one
-array's numbers at a time, and re-validates all.
+canonical array as one flat list of numbers, NaN and +-Infinity included
+(other array text only to name its fault), and decodes it at once, so it
+holds one array's numbers at a time, and re-validates all.
 A pure state (one built by DensityOperator.pure) is written as its vector,
 any other state as its matrix.
 """
@@ -779,7 +779,7 @@ def _skip(s: str, idx: int) -> int:
 
 def _parse(text: str):
     """json.loads(text, object_pairs_hook=_reject_duplicate_keys), except that
-    a well-formed array at an int of _LAYOUT comes back as its _floats array.
+    a well-formed array at an int of _LAYOUT comes back as a float64 array.
 
     Each array's numbers are dropped as soon as it is parsed, so a load holds
     one array as Python objects, not the whole file. Faults raise the same
@@ -795,19 +795,13 @@ def _parse(text: str):
 
 
 def _read(s: str, idx: int, layout):
-    """The JSON value at s[idx] and the index after it (see _parse)."""
+    """The JSON value at s[idx] and the index after it (see _parse); _JSON
+    alone parses an array that _read_flat refuses, for _decode to name its fault."""
     if isinstance(layout, dict) and s[idx:idx + 1] == "{":
         return _read_object(s, idx, layout)
     if isinstance(layout, int) and s[idx:idx + 1] == "[":
-        flat = _read_flat(s, idx, layout)
-        if flat is not None:
-            return flat
-    value, end = _JSON.raw_decode(s, idx)
-    if isinstance(layout, int) and isinstance(value, list) and value:
-        array = _floats(value, (len(value),) * layout + (2,))
-        if array is not None:  # else _decode names the fault later in the load
-            value = array
-    return value, end
+        return _read_flat(s, idx, layout) or _JSON.raw_decode(s, idx)
+    return _JSON.raw_decode(s, idx)
 
 
 def _read_object(s: str, start: int, layout) -> tuple[dict, int]:
@@ -837,17 +831,17 @@ def _read_object(s: str, start: int, layout) -> tuple[dict, int]:
     return _JSON.raw_decode(s, start)
 
 
-# _NUMBERS marks each byte of a JSON number "0"; _UNBRACKET turns brackets
-# into spaces.
-_NUMBERS = bytes.maketrans(b"0123456789.eE+-", b"0" * 15)
+# _NUMBERS marks each byte of a JSON number or of NaN, Infinity and -Infinity
+# "0"; _UNBRACKET turns brackets into spaces.
+_NUMBERS = bytes.maketrans(b"0123456789.eE+-NaInfity", b"0" * 23)
 _UNBRACKET = bytes.maketrans(b"[]", b"  ")
 
 
 def _read_flat(s: str, idx: int, ndim: int) -> Optional[tuple[np.ndarray, int]]:
     """The array of [re, im] pairs whose "[" is s[idx], as _floats makes it,
     and the index after it; None unless the text is the canonical nesting of
-    an (n,) * ndim + (2,) array with one JSON number in each place, every
-    number within the float range.
+    an (n,) * ndim + (2,) array with one JSON number, NaN or +-Infinity in
+    each place, every number within the float range.
 
     Such text is read as one flat list of numbers: with its brackets turned
     into spaces, each comma-separated field holds the one number of its
@@ -859,13 +853,10 @@ def _read_flat(s: str, idx: int, ndim: int) -> Optional[tuple[np.ndarray, int]]:
         stop = len(s)
     while s[stop - 1] in " \t\n\r,}":  # s[idx] is "[", so this stops there
         stop -= 1
-    try:
-        raw = bytearray(s[idx:stop], "ascii")
-    except UnicodeEncodeError:
-        return None
     # The outline: whitespace dropped and each run of number bytes one "0"
-    # (a bracket or comma and the byte after it kept). Any other byte, or a
-    # number out of its place, makes it differ from the canonical outline.
+    # (a bracket or comma and the byte after it kept). Any other byte, non-ASCII
+    # ones too, or a number out of its place makes it differ from the canonical one.
+    raw = bytearray(s[idx:stop], "utf-8")
     marked = raw.translate(_NUMBERS, b" \t\n\r")
     if not marked.startswith(b"[" * (ndim + 1)):  # cheap refusal of a non-pair array
         return None
@@ -912,10 +903,11 @@ def _floats(doc, shape: tuple[int, ...]) -> Optional[np.ndarray]:
 def _decode(doc, dim: int, where: str, ndim: int) -> np.ndarray:
     """The complex vector (ndim 1) or square matrix (ndim 2) written in doc.
 
-    _parse makes a float array of each well-formed array, so a list is empty
-    or has a fault: ScenarioFormatError names its first bad row or entry.
-    DimensionError means a well-formed array (an empty vector, but not an
-    empty matrix) whose size is not dim.
+    _read_flat makes a float array of each well-formed array, so a list is
+    empty or has a fault: ScenarioFormatError names its first bad row or
+    entry. DimensionError means a well-formed array (an empty vector, but not
+    an empty matrix) whose size is not dim; ValidationError names a matrix
+    with a non-finite entry (DensityOperator.pure refuses a vector's).
     """
     if not isinstance(doc, (list, np.ndarray)) or (ndim == 2 and len(doc) == 0):
         raise ScenarioFormatError(f"{where}: expected a nested array of [re, im] pairs")
@@ -932,6 +924,8 @@ def _decode(doc, dim: int, where: str, ndim: int) -> np.ndarray:
                     )
     if n != dim:
         raise DimensionError(f"{where}: size {n} does not match scenario dim {dim}")
+    if ndim == 2 and not np.isfinite(doc).all():
+        raise ValidationError(f"{where}: matrix entries must be finite")
     return doc.view(np.complex128)[..., 0]
 
 

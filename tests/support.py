@@ -164,18 +164,6 @@ def refine_inside(
     return projection_in_basis(v, bits)
 
 
-def sub_projection(
-    rng: np.random.Generator, e: Projection, rank: int
-) -> Projection:
-    """A projection f with f <= e, spanned inside range(e)."""
-    w, v = np.linalg.eigh(e.matrix.array)
-    inside = np.flatnonzero(w > 0.5)
-    assert rank <= inside.size
-    u = haar_unitary(rng, inside.size)
-    cols = v[:, inside] @ u[:, :rank]
-    return Projection(CMatrix(cols @ cols.conj().T))
-
-
 def random_decomposition(
     rng: np.random.Generator, rho: DensityOperator
 ) -> tuple[DensityOperator, DensityOperator, float]:
@@ -399,6 +387,26 @@ def reference_encode_pairs(a: np.ndarray) -> list:
     if a.ndim == 1:
         return [pair(z) for z in a.tolist()]
     return [[pair(z) for z in row] for row in a.tolist()]
+
+
+def reference_floats(doc, shape: tuple[int, ...]):
+    """doc as a float64 array of this shape, each leaf converted by float(),
+    or None unless doc is nested lists of exactly that shape whose leaves are
+    JSON integers and floats (not bools) within the float range."""
+
+    def leaves(x, shape):
+        if not shape:
+            if type(x) not in (int, float):
+                raise TypeError(x)
+            return [float(x)]  # OverflowError for an integer beyond the float range
+        if not isinstance(x, list) or len(x) != shape[0]:
+            raise TypeError(x)
+        return [leaf for item in x for leaf in leaves(item, shape[1:])]
+
+    try:
+        return np.array(leaves(doc, shape), dtype=np.float64).reshape(shape)
+    except (TypeError, OverflowError):
+        return None
 
 
 def reference_decode_pairs(doc: list, ndim: int) -> np.ndarray:

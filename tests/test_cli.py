@@ -321,6 +321,33 @@ def test_state_vector_entries_near_the_float_limit(tmp_path, entry, code):
         assert proc.stderr == "error: pure state vector entries must be finite\n"
 
 
+@pytest.mark.parametrize("where, label", [("observables", "E"), ("state", "state")])
+def test_huge_matrix_entries_are_one_named_error(tmp_path, where, label):
+    # Two 1e308 diagonal entries would overflow the idempotency product or the
+    # trace; the entry bound refuses them first, with no RuntimeWarning.
+    huge = [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]]
+    doc = {
+        "name": "edge",
+        "dim": 2,
+        "state": {"type": "density", "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+        "observables": {"E": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+        "claims": [],
+    }
+    if where == "state":
+        doc["state"]["matrix"] = huge
+    else:
+        doc["observables"]["E"] = huge
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qdetect", "detect", str(path), "E", "E"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {label}: entry [0][0] has modulus 1.000e+308 > bound 2.000e+00\n"
+
+
 def test_c3_commuting_pair(ghsz_file, capsys):
     # For a commuting pair the extension residual is half the sum-rule
     # residual, so the sum rule is the one line.

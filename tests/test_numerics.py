@@ -232,5 +232,3 @@ def test_basis_vector_and_outer():
     assert e1[1] == 1.0 and np.sum(np.abs(e1)) == 1.0
     p = outer([1.0, 1j])
     assert dist(p, CMatrix([[1.0, -1j], [1j, 1.0]])) == 0.0
-    with pytest.raises(DimensionError):
-        outer([1.0, 0.0], [1.0])

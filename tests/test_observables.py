@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +86,43 @@ def test_tolerance_validates_and_is_not_stored():
     pure = DensityOperator.pure([1.0, 0.0], tol=loose)
     for op in (p, complement(p), commutation_projection(p, p, loose), rho, pure):
         assert not hasattr(op, "tol")
+
+
+@pytest.mark.parametrize("build, label", [(Projection, "projection"), (DensityOperator, "state")])
+def test_huge_entries_are_refused_before_any_arithmetic(build, label):
+    # A product or trace of 1e308 entries would overflow with a RuntimeWarning;
+    # the entry bound refuses the matrix first and names the entry. The second
+    # matrix has an entry whose modulus is beyond the float range.
+    big = 1.5e308 * (1 + 1j)
+    for entries, at, size in (
+        (np.diag([1e308, 1e308]), r"\[0\]\[0\]", r"1\.000e\+308"),
+        ([[0.5, big], [big.conjugate(), 0.5]], r"\[0\]\[1\]", "inf"),
+    ):
+        for name in ("", "X"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError) as err:
+                    build(CMatrix(entries), name=name)
+            want = rf"{name or label}: entry {at} has modulus {size} > bound 2\.000e\+00"
+            assert re.fullmatch(want, str(err.value))
+
+
+@pytest.mark.parametrize("atol", [1e-10, 0.5])
+def test_operators_at_the_edge_of_the_gate_pass_the_entry_bound(atol):
+    # Defects just inside the gate: the largest entries an admitted projection
+    # or state can have still lie under the bound 2 * (1 + dim * gate).
+    tol, dim = Tolerance(atol=atol), 4
+    gate = tol.gate(dim)
+    top = (1.0 + math.sqrt(1.0 + 4.0 * 0.99 * gate)) / 2.0  # top^2 - top = 0.99 gate
+    skew = np.zeros((dim, dim), dtype=np.complex128)
+    skew[0, 1], skew[1, 0] = 0.49 * gate, -0.49 * gate  # Hermiticity defect 0.98 gate
+    p = Projection(CMatrix(np.diag([top, 1.0, 0.0, 0.0]) + skew), tol=tol)
+    assert p.matrix.array[0, 0] == top and p.matrix.array[0, 1] == 0.0
+    spectrum = [1.0 + 0.99 * gate * (dim - 1)] + [-0.99 * gate] * (dim - 1)
+    rho = DensityOperator(CMatrix(np.diag(spectrum)), tol=tol)
+    assert rho.matrix.array[0, 0] == spectrum[0]
+    for m in (p.matrix, rho.matrix):
+        assert np.abs(m.array).max() < 1.0 + (dim + 0.5) * gate < 2.0 * (1.0 + dim * gate)
 
 
 def test_projection_rank():

@@ -50,8 +50,8 @@ from qdetect.scenarios import (
     MAX_SYMBOLS,
     _decode,
     _encode,
-    _floats,
     _parse,
+    _read_flat,
     _reject_duplicate_keys,
 )
 
@@ -67,6 +67,7 @@ from support import (
     random_projection,
     reference_decode_pairs,
     reference_encode_pairs,
+    reference_floats,
 )
 
 
@@ -1010,6 +1011,17 @@ def test_load_revalidates_operator_invariants(tmp_path):
     assert "idempotency" in str(err.value)
 
 
+@pytest.mark.parametrize("where", ["observables[E]", "state.matrix"])
+def test_load_names_the_matrix_with_a_non_finite_entry(tmp_path, where):
+    doc = _base_doc()
+    doc["state"] = {"type": "density", "matrix": [list(row) for row in doc["observables"]["E"]]}
+    matrix = doc["observables"]["E"] if where.startswith("observables") else doc["state"]["matrix"]
+    for leaf in (math.nan, math.inf, -math.inf):
+        matrix[1][0] = [0.0, leaf]  # json.dumps writes NaN, Infinity, -Infinity
+        with pytest.raises(ValidationError, match=rf"^{re.escape(where)}: matrix entries must be finite$"):
+            load_scenario(_write(tmp_path, doc))
+
+
 def _random_pair_doc(rng, shape) -> list:
     """Nested [re, im] pairs mixing floats, -0.0, 0.0 and ints of every size."""
     pool = [0, -0.0, 0.0, 1, -7, 2**53 + 1, -(2**63) - 5, 10**300 + 3, 1e-300, -1.5e308]
@@ -1026,7 +1038,7 @@ def test_decode_matches_per_entry_reference():
             shape = (dim,) * ndim + (2,)
             doc = _random_pair_doc(rng, shape)
             # _decode takes the array _parse makes of a well-formed array.
-            got = _decode(_floats(doc, shape), dim, "m", ndim)
+            got = _decode(reference_floats(doc, shape), dim, "m", ndim)
             want = reference_decode_pairs(doc, ndim)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -1056,21 +1068,35 @@ def test_load_refuses_a_file_that_is_not_utf8(tmp_path):
 # The reader against json.loads
 
 
-def _loads_then_floats(text: str):
-    """What _parse must give: json.loads, then _floats on each array path."""
-    doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+def _array_slots(doc) -> list:
+    """(object, key, ndim) for each array path of a parsed scenario document."""
     slots = []
     if isinstance(doc, dict) and isinstance(doc.get("state"), dict):
         slots += [(doc["state"], "vector", 1), (doc["state"], "matrix", 2)]
     if isinstance(doc, dict) and isinstance(doc.get("observables"), dict):
         slots += [(doc["observables"], key, 2) for key in doc["observables"]]
-    for obj, key, ndim in slots:
+    return slots
+
+
+def _loads_then_floats(text: str):
+    """What _parse must give: json.loads, then reference_floats on each array path."""
+    doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+    for obj, key, ndim in _array_slots(doc):
         value = obj.get(key)
         if isinstance(value, list) and value:
-            array = _floats(value, (len(value),) * ndim + (2,))
+            array = reference_floats(value, (len(value),) * ndim + (2,))
             if array is not None:
                 obj[key] = array
     return doc
+
+
+def _check_kept_lists_are_faults(tmp_path, text: str) -> None:
+    """A list that the reference keeps at an array path has a fault for
+    load_scenario to name, so _decode never views a list as an array."""
+    doc = _loads_then_floats(text)
+    if any(isinstance(obj.get(key), list) for obj, key, _ in _array_slots(doc)):
+        with pytest.raises((ScenarioFormatError, DimensionError)):
+            load_scenario(_write(tmp_path, text))
 
 
 def _canonical(x):
@@ -1156,6 +1182,8 @@ def test_parse_matches_json_loads_on_edited_files(tmp_path):
         want = _outcome(_loads_then_floats, text)
         assert _outcome(_parse, text) == want, text
         kinds.add(want[1].partition(": line ")[0] if isinstance(want[0], type) else "parsed")
+        if not isinstance(want[0], type):
+            _check_kept_lists_are_faults(tmp_path, text)
     # The set reaches every way the reader itself can stop, not only the scanner's.
     for kind in (
         "parsed",
@@ -1232,7 +1260,38 @@ def test_parse_matches_json_loads_on_edited_arrays(tmp_path):
                 want = _outcome(_loads_then_floats, case)
                 assert _outcome(_parse, case) == want, case
                 kinds.add(want[0] if isinstance(want[0], type) else "parsed")
+                if not isinstance(want[0], type):
+                    _check_kept_lists_are_faults(tmp_path, case)
     assert kinds == {"parsed", json.JSONDecodeError, ValueError}
+
+
+def test_flat_reader_reads_non_finite_leaves(tmp_path):
+    # NaN, Infinity and -Infinity are numbers to the flat reader: canonical
+    # text holding them takes the flat route at every array path, in both
+    # whitespace forms, and reads to the reference's bits.
+    saved = []
+    for scn in (build_rt_analogue(), build_example_44(math.pi / 6.0)):
+        save_scenario(scn, tmp_path / "saved.json")
+        saved.append((tmp_path / "saved.json").read_text())
+    for text in saved + [json.dumps(json.loads(text)) for text in saved]:
+        doc = json.loads(text)
+        slots = [("vector", 1) if "vector" in doc["state"] else ("matrix", 2)]
+        slots += [(key, 2) for key in doc["observables"]]
+        for key, ndim in slots:
+            start = re.search(rf'"{key}":\s*', text).end()
+            end = json.JSONDecoder().raw_decode(text, start)[1]
+            *_, last = pairs = list(_PAIR.finditer(text, start, end))
+            spans = [pairs[0].span(1), pairs[0].span(2), last.span(1)]
+            case = text
+            for (a, b), leaf in sorted(zip(spans, ("NaN", "Infinity", "-Infinity")), reverse=True):
+                case = case[:a] + leaf + case[b:]
+            case_end = end + len(case) - len(text)
+            got = _read_flat(case, start, ndim)
+            assert got is not None and got[1] == case_end, case
+            value = json.loads(case[start:case_end])
+            want = reference_floats(value, (len(value),) * ndim + (2,))
+            assert np.isnan(want.flat[0]) and want.flat[1] == math.inf and want.flat[-2] == -math.inf
+            assert got[0].shape == want.shape and got[0].tobytes() == want.tobytes()
 
 
 def test_load_refuses_many_tiny_arrays_in_linear_time(tmp_path):
